@@ -22,13 +22,13 @@ if __name__ == "__main__":
     parser.add_argument("--base-bits", type=int, default=None)
     args, passthrough = parser.parse_known_args()
     config_path = REPO / "configs" / "quantizer_sweep.json"
-    if args.base_bits is not None:
-        data = json.loads(config_path.read_text())
-        data["quantizer"]["base_bits"] = args.base_bits
-        tmp = tempfile.NamedTemporaryFile("w", suffix=".json", delete=False)
-        json.dump(data, tmp)
-        tmp.close()
-        config_path = Path(tmp.name)
-    argv = ["quantizer-sweep", "--config", str(config_path),
-            "--out", "out_quantizer_sweep", *passthrough]
-    raise SystemExit(main(argv))
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        if args.base_bits is not None:
+            data = json.loads(config_path.read_text())
+            data["quantizer"]["base_bits"] = args.base_bits
+            config_path = Path(tmp_dir) / "quantizer_sweep.json"
+            config_path.write_text(json.dumps(data))
+        argv = ["quantizer-sweep", "--config", str(config_path),
+                "--out", "out_quantizer_sweep", *passthrough]
+        code = main(argv)
+    raise SystemExit(code)

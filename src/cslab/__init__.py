@@ -6,56 +6,3 @@ a reproducible Monte Carlo harness with a CLI front end.
 """
 
 __version__ = "0.1.0"
-
-from .signal_model import (
-    NoiseSpec,
-    SampleVector,
-    SparseSpectrum,
-    add_signal_noise,
-    analyze_vector,
-    generate_bandlimited,
-    par,
-    signal_noise_var_for_isnr,
-    synthesize,
-    synthesize_vector,
-)
-from .sensing import (
-    MeasurementEnsemble,
-    estimate_rip_constant,
-    generate_ensemble,
-    generate_subsampled_dct_ensemble,
-    measure,
-    orthogonalize_rows,
-)
-from .quantization import (
-    DynamicRangeResult,
-    QuantizerSpec,
-    dynamic_range_closed_form,
-    dynamic_range_empirical,
-    quantize,
-    sqnr,
-)
-from .recovery import RecoveryOutput, bandpass_baseline, cosamp, oracle_recover
-from .metrics import SnrReport, from_db, isnr, msnr, rsnr, to_db
-from .theory import (
-    DesignRuleReport,
-    bit_depth_trend,
-    design_rules,
-    expected_oracle_error_bounds,
-    msnr_over_isnr_bounds,
-    noise_folding_bounds,
-    rho_cs,
-    rsnr_over_msnr_bounds,
-)
-from .experiments import (
-    ContainmentConfig,
-    ExperimentResult,
-    QuantizerSweepSpec,
-    SweepConfig,
-    TrialRow,
-    aggregate,
-    derive_trial_seed,
-    run_bound_containment,
-    run_noise_folding_sweep,
-    run_quantization_sweep,
-)

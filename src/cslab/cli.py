@@ -34,6 +34,7 @@ _DESIGN_RULE_KEYS = {"ambient_dim", "band_width", "kappa0", "base_bits"}
 
 
 def _workers_from_env() -> int:
+    """Validated CSLAB_THREADS value; the sweeps read 0 as one worker per CPU."""
     raw = os.environ.get("CSLAB_THREADS")
     if raw is None or raw.strip() == "":
         return 1
@@ -43,7 +44,7 @@ def _workers_from_env() -> int:
         raise ConfigSchemaError(f"CSLAB_THREADS must be an integer, got {raw!r}")
     if value < 0:
         raise ConfigSchemaError("CSLAB_THREADS must be >= 0")
-    return value if value > 0 else (os.cpu_count() or 1)
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,6 +104,7 @@ def _cmd_sweep(args, kind: str) -> int:
         data["trials_per_point"] = args.trials
     cfg = build_sweep_config(data)
     workers = _workers_from_env()
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the sweep
     if kind == "noise_folding":
         result = run_noise_folding_sweep(cfg, n_workers=workers)
     else:
@@ -124,7 +126,7 @@ def _cmd_dynamic_range(args) -> int:
     spec = quantization.QuantizerSpec(bits=args.bits, saturation=args.saturation)
     spectrum = signal_model.generate_bandlimited(
         args.ambient_dim, args.band_width, "random", args.seed)
-    x = signal_model.synthesize(spectrum).samples
+    x = signal_model.synthesize_vector(spectrum.coeffs)
     report = {"bits": args.bits, "saturation": args.saturation, "target_snr": args.target_snr,
               "par": signal_model.par(x), "path": args.path}
 
@@ -237,7 +239,7 @@ def main(argv=None) -> int:
     except (ConfigFileError, ConfigSchemaError, ConfigDivisibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (ValueError, np.linalg.LinAlgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -118,6 +118,10 @@ class SweepConfig:
                 raise ValueError(f"every rho must divide ambient_dim; got {r}")
         if not self.methods or any(m not in METHODS for m in self.methods):
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
+        n_fewest = self.ambient_dim // max(self.rho_list)
+        if "oracle" in self.methods and n_fewest < self.band_width:
+            raise ValueError(f"oracle recovery needs M = ambient_dim // rho >= band_width; "
+                             f"rho={max(self.rho_list)} gives M={n_fewest} < {self.band_width}")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"ensemble must be one of {ENSEMBLES}")
         if self.measurement_noise_var < 0:
@@ -184,103 +188,69 @@ def _db_or_none(value: float | None) -> float | None:
     return None if value is None else float(metrics.to_db(value))
 
 
-def _noise_folding_trial(cfg: SweepConfig, point_index: int, rho: int,
-                         isnr_target: float, trial: int) -> list[TrialRow]:
+def _trial(cfg: SweepConfig, point_index: int, rho: int,
+           isnr_target: float | None, trial: int) -> list[TrialRow]:
+    """One acquisition: signal, signal noise when ``isnr_target`` is set,
+    ensemble, measurement (with ``cfg.measurement_noise_var``), quantization
+    when ``cfg.quantizer`` is set, then every configured method."""
     seed = derive_trial_seed(cfg.master_seed, point_index, trial)
     c_signal, c_noise, c_ens, c_meas = np.random.SeedSequence(seed).spawn(4)
     B, W = cfg.ambient_dim, cfg.band_width
-    M = B // rho
+    bits = quantizer = None
+    if cfg.quantizer is not None:
+        lam = cfg.quantizer.base_bits + 10.0 * np.log10(B) / 2.3
+        bits = max(1, int(np.floor(theory.bit_depth_trend(lam, B, rho) + 0.5)))
+        quantizer = quantization.QuantizerSpec(bits=bits, saturation=cfg.quantizer.saturation)
 
     spectrum = signal_model.generate_bandlimited(B, W, "random", c_signal)
-    noise_var = signal_model.signal_noise_var_for_isnr(spectrum, isnr_target)
-    noisy = signal_model.add_signal_noise(spectrum, noise_var, c_noise)
-    realized_isnr = metrics.isnr(spectrum, noisy)
+    acquired, isnr_db = spectrum.coeffs, None
+    if isnr_target is not None:
+        noise_var = signal_model.signal_noise_var_for_isnr(spectrum, isnr_target)
+        acquired = signal_model.add_signal_noise(spectrum, noise_var, c_noise)
+        isnr_db = _db_or_none(metrics.isnr(spectrum, acquired))
+
+    if any(m != "bandpass" for m in cfg.methods):
+        ens = _fresh_ensemble(cfg, B // rho, c_ens)
+        y = sensing.measure(ens, acquired, cfg.measurement_noise_var, c_meas)
+        if quantizer is not None:
+            # scale to the full quantizer range, quantize, undo the scaling
+            beta = quantizer.saturation / float(np.max(np.abs(y)))
+            y = quantization.quantize(quantizer, beta * y) / beta
+        msnr_db = _db_or_none(metrics.msnr(ens, spectrum.coeffs, y))
 
     rows = []
-    needs_ensemble = any(m in cfg.methods for m in ("oracle", "cosamp"))
-    if needs_ensemble:
-        ens = _fresh_ensemble(cfg, M, c_ens)
-        y = sensing.measure(ens, noisy, cfg.measurement_noise_var, c_meas)
-        msnr_db = _db_or_none(metrics.msnr(ens, spectrum.coeffs, y))
     for method in METHODS:
         if method not in cfg.methods:
             continue
         if method == "bandpass":
-            x_noisy = signal_model.synthesize_vector(noisy)
-            sample_vec = signal_model.SampleVector(x_noisy, float(B))
+            x = signal_model.synthesize_vector(acquired)
             try:
-                out = recovery.bandpass_baseline(sample_vec, rho, spectrum.support)
-            except ValueError:
-                rows.append(TrialRow(rho, isnr_target, method, trial, seed,
-                                     _db_or_none(realized_isnr), None, None, False, None))
-                continue
-            rows.append(TrialRow(rho, isnr_target, method, trial, seed,
-                                 _db_or_none(realized_isnr), None,
-                                 _db_or_none(metrics.rsnr(spectrum.coeffs, out.coeffs_hat)),
-                                 True, None))
-            continue
-        if method == "oracle":
+                out = recovery.bandpass_baseline(x, rho, spectrum.support)
+            except ValueError:  # alias collision: a failed row, not an aborted sweep
+                out = None
+            hit = out is not None
+        elif method == "oracle":
             out = recovery.oracle_recover(ens, y, spectrum.support)
             hit = True
         else:
             out = recovery.cosamp(ens, y, W)
-            hit = (out.support_hat.size == spectrum.support.size
-                   and bool(np.array_equal(out.support_hat, spectrum.support)))
-        rows.append(TrialRow(rho, isnr_target, method, trial, seed,
-                             _db_or_none(realized_isnr), msnr_db,
-                             _db_or_none(metrics.rsnr(spectrum.coeffs, out.coeffs_hat)),
-                             hit, None))
-    return rows
-
-
-def _quantization_trial(cfg: SweepConfig, point_index: int, rho: int, trial: int) -> list[TrialRow]:
-    seed = derive_trial_seed(cfg.master_seed, point_index, trial)
-    c_signal, _c_noise, c_ens, _c_meas = np.random.SeedSequence(seed).spawn(4)
-    B, W = cfg.ambient_dim, cfg.band_width
-    M = B // rho
-    qspec = cfg.quantizer
-
-    lam = qspec.base_bits + 10.0 * np.log10(B) / 2.3
-    bits = max(1, int(np.floor(theory.bit_depth_trend(lam, B, rho) + 0.5)))
-    quantizer = quantization.QuantizerSpec(bits=bits, saturation=qspec.saturation)
-
-    spectrum = signal_model.generate_bandlimited(B, W, "random", c_signal)
-    ens = _fresh_ensemble(cfg, M, c_ens)
-    y = ens.apply(spectrum.coeffs)
-    peak = float(np.max(np.abs(y)))
-    beta = quantizer.saturation / peak
-    y_quant = quantization.quantize(quantizer, beta * y) / beta
-    msnr_db = _db_or_none(metrics.msnr(ens, spectrum.coeffs, y_quant))
-
-    rows = []
-    for method in METHODS:
-        if method not in cfg.methods:
-            continue
-        if method == "oracle":
-            out = recovery.oracle_recover(ens, y_quant, spectrum.support)
-            hit = True
-        else:
-            out = recovery.cosamp(ens, y_quant, W)
-            hit = (out.support_hat.size == spectrum.support.size
-                   and bool(np.array_equal(out.support_hat, spectrum.support)))
-        rows.append(TrialRow(rho, None, method, trial, seed, None, msnr_db,
-                             _db_or_none(metrics.rsnr(spectrum.coeffs, out.coeffs_hat)),
-                             hit, bits))
+            hit = bool(np.array_equal(out.support_hat, spectrum.support))
+        rsnr_db = None if out is None else _db_or_none(metrics.rsnr(spectrum.coeffs, out.coeffs_hat))
+        rows.append(TrialRow(rho, isnr_target, method, trial, seed, isnr_db,
+                             None if method == "bandpass" else msnr_db, rsnr_db, hit, bits))
     return rows
 
 
 def _run_block(args) -> tuple:
-    cfg, kind, point_index, rho, isnr_target, trial_lo, trial_hi = args
+    cfg, point_index, rho, isnr_target, trial_lo, trial_hi = args
     rows = []
     for trial in range(trial_lo, trial_hi):
-        if kind == "noise_folding":
-            rows.extend(_noise_folding_trial(cfg, point_index, rho, isnr_target, trial))
-        else:
-            rows.extend(_quantization_trial(cfg, point_index, rho, trial))
+        rows.extend(_trial(cfg, point_index, rho, isnr_target, trial))
     return (point_index, trial_lo), rows
 
 
 def _resolve_workers(n_workers: int | None) -> int:
+    """Worker count for a sweep: None means serial, 0 one worker per CPU."""
     if n_workers is None:
         n_workers = 1
     n_workers = int(n_workers)
@@ -290,12 +260,11 @@ def _resolve_workers(n_workers: int | None) -> int:
 
 
 def _run_sweep(cfg: SweepConfig, kind: str, n_workers: int | None) -> ExperimentResult:
-    points = _sweep_points(cfg, kind)
     blocks = []
-    for point_index, (rho, isnr_target) in enumerate(points):
+    for point_index, (rho, isnr_target) in enumerate(_sweep_points(cfg, kind)):
         for lo in range(0, cfg.trials_per_point, _TRIAL_BLOCK):
             hi = min(lo + _TRIAL_BLOCK, cfg.trials_per_point)
-            blocks.append((cfg, kind, point_index, rho, isnr_target, lo, hi))
+            blocks.append((cfg, point_index, rho, isnr_target, lo, hi))
     workers = _resolve_workers(n_workers)
     if workers == 1:
         keyed = dict(_run_block(b) for b in blocks)
@@ -327,13 +296,13 @@ def run_noise_folding_sweep(cfg: SweepConfig, n_workers: int | None = 1) -> Expe
 
 
 def run_quantization_sweep(cfg: SweepConfig, n_workers: int | None = 1) -> ExperimentResult:
-    """Sweep recovery SNR against subsampling for noise-free quantized
-    acquisition.
+    """Sweep recovery SNR against subsampling for quantized acquisition
+    without signal noise.
 
     The bit depth per point follows the rate/resolution trend anchored at
     ``base_bits`` for rho = 1 (rounded to the nearest integer, floor 1); each
-    trial's measurements are scaled to the full quantizer range before
-    quantization.
+    trial's measurements, including any ``measurement_noise_var`` noise, are
+    scaled to the full quantizer range before quantization.
     """
     if cfg.quantizer is None:
         raise ValueError("quantization sweep requires a quantizer spec")
@@ -418,18 +387,15 @@ class ContainmentReport:
                 and self.isnr_over_rsnr_ok and self.whiteness_ok)
 
 
-def _bracket(base: float, delta: float) -> tuple:
-    upper = base / (1.0 - delta) if delta < 1.0 else float("inf")
-    return (base / (1.0 + delta), upper)
-
-
 def run_bound_containment(cfg: ContainmentConfig) -> ContainmentReport:
     """Verify the oracle-error, MSNR/ISNR, and ISNR/RSNR brackets plus the
     folded-noise whiteness statistics on a small exhaustive-delta instance.
 
     The campaign draws one gaussian ensemble, orthogonalizes its rows (that is
     the operator the sweeps use), and evaluates every bracket at the
-    orthogonalized ensemble's exhaustive isometry constant.
+    orthogonalized ensemble's exhaustive isometry constant; the brackets
+    come from ``theory`` before any trial runs, so a constant of 1 or more
+    raises ``ValueError`` instead of reporting a vacuous bracket.
     Expectation-bearing quantities are estimated as ratios of trial-averaged
     energies (the closed forms put the expectation on the noise energies).
     """
@@ -443,6 +409,9 @@ def run_bound_containment(cfg: ContainmentConfig) -> ContainmentReport:
     ens = sensing.orthogonalize_rows(raw)
     delta_hat = sensing.estimate_rip_constant(ens, W, mode="exhaustive")
     rho = B / M
+    oracle_bounds = theory.expected_oracle_error_bounds(W, cfg.measurement_noise_var, delta_hat)
+    msnr_isnr_bounds = theory.msnr_over_isnr_bounds(W, B, delta_hat)
+    isnr_rsnr_bounds = theory.noise_folding_bounds(rho, delta_hat)
 
     sq_err_sum = 0.0
     meas_energy_sum = 0.0
@@ -480,13 +449,8 @@ def run_bound_containment(cfg: ContainmentConfig) -> ContainmentReport:
         inband_noise_sum += float(np.sum(n[support] ** 2))
 
     oracle_err_mean = sq_err_sum / T
-    oracle_bounds = _bracket(W * cfg.measurement_noise_var, delta_hat)
-
     msnr_isnr = (meas_energy_sum / folded_noise_energy_sum) / (alpha_energy_sum / inband_noise_sum)
-    msnr_isnr_bounds = ((1.0 - delta_hat) * W / B, (1.0 + delta_hat) * W / B)
-
     isnr_rsnr = (folded_err_sum / T) / (inband_noise_sum / T)
-    isnr_rsnr_bounds = _bracket(rho, delta_hat)
 
     target_var = rho * cfg.signal_noise_var
     cov = folded @ folded.T / T

@@ -7,23 +7,11 @@ quantity being estimated has an expectation in the denominator).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .signal_model import SparseSpectrum
 
-__all__ = ["SnrReport", "to_db", "from_db", "isnr", "msnr", "rsnr"]
-
-
-@dataclass(frozen=True)
-class SnrReport:
-    """dB-valued SNR summary; fields are None when not applicable."""
-
-    isnr_db: float | None = None
-    msnr_db: float | None = None
-    rsnr_db: float | None = None
-    sqnr_db: float | None = None
+__all__ = ["to_db", "from_db", "isnr", "msnr", "rsnr"]
 
 
 def to_db(ratio: float) -> float:

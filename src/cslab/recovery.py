@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_model import SampleVector, analyze_vector, basis_column, bin_frequency
+from .signal_model import analyze_vector, basis_column, bin_frequency
 
 __all__ = ["RecoveryOutput", "oracle_recover", "cosamp", "bandpass_baseline"]
 
@@ -158,8 +158,8 @@ def _fold_bin(k: int, ambient_dim: int, n_kept: int, rho: int) -> int | None:
     return 2 * g if 2 * g < M else 2 * (M - g)
 
 
-def bandpass_baseline(x: SampleVector, rho: int, true_support) -> RecoveryOutput:
-    """Decimate the samples by rho and read folded bins for a known support.
+def bandpass_baseline(x: np.ndarray, rho: int, true_support) -> RecoveryOutput:
+    """Decimate the Nyquist-rate samples x by rho and read folded bins for a known support.
 
     Each support bin k of the full-size basis aliases onto a single bin of the
     size-M basis (M = B/rho); the readout divides by the exact aliasing gain
@@ -169,7 +169,7 @@ def bandpass_baseline(x: SampleVector, rho: int, true_support) -> RecoveryOutput
     vanishes: the components overlap irreversibly and cannot be separated.
     """
     rho = int(rho)
-    samples = x.samples
+    samples = np.asarray(x, dtype=float)
     B = samples.size
     if rho < 1:
         raise ValueError("rho must be >= 1")

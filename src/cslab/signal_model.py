@@ -15,14 +15,11 @@ import numpy as np
 
 __all__ = [
     "SparseSpectrum",
-    "SampleVector",
-    "NoiseSpec",
     "bin_frequency",
     "basis_column",
     "synthesis_matrix",
     "synthesize_vector",
     "analyze_vector",
-    "synthesize",
     "generate_bandlimited",
     "par",
     "add_signal_noise",
@@ -70,33 +67,6 @@ class SparseSpectrum:
         return int(self.support.size)
 
 
-@dataclass
-class SampleVector:
-    """Nyquist-rate samples of a synthesized signal (window T = 1 s)."""
-
-    samples: np.ndarray
-    nyquist_rate: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if self.nyquist_rate <= 0:
-            raise ValueError("nyquist_rate must be positive")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """White-noise variances for the signal spectrum and the measurements."""
-
-    signal_noise_var: float = 0.0
-    measurement_noise_var: float = 0.0
-
-    def __post_init__(self):
-        if self.signal_noise_var < 0 or self.measurement_noise_var < 0:
-            raise ValueError("noise variances must be nonnegative")
-
-
 def bin_frequency(k: int, ambient_dim: int) -> tuple[int, str]:
     """Map a basis bin index to its (frequency, kind) pair.
 
@@ -137,7 +107,10 @@ def synthesis_matrix(ambient_dim: int) -> np.ndarray:
 
 
 def synthesize_vector(coeffs: np.ndarray) -> np.ndarray:
-    """Synthesize samples x from a dense coefficient vector via the real FFT."""
+    """Synthesize samples x from a dense coefficient vector via the real FFT.
+
+    The basis is orthonormal, so ``norm(x) == norm(coeffs)`` up to roundoff.
+    """
     alpha = np.asarray(coeffs, dtype=float)
     B = alpha.shape[0]
     if B == 1:
@@ -172,15 +145,6 @@ def analyze_vector(samples: np.ndarray) -> np.ndarray:
     alpha[2 * f - 1] = np.sqrt(2.0 / B) * spec[f].real
     alpha[2 * f] = -np.sqrt(2.0 / B) * spec[f].imag
     return alpha
-
-
-def synthesize(spectrum: SparseSpectrum) -> SampleVector:
-    """Synthesize the Nyquist-rate sample vector x of a sparse spectrum.
-
-    The basis is orthonormal, so ``norm(x) == norm(coeffs)`` up to roundoff.
-    """
-    x = synthesize_vector(spectrum.coeffs)
-    return SampleVector(samples=x, nyquist_rate=float(spectrum.ambient_dim))
 
 
 def generate_bandlimited(
@@ -228,13 +192,13 @@ def generate_bandlimited(
     return SparseSpectrum(ambient_dim=B, support=support, coeffs=coeffs)
 
 
-def par(x) -> float:
+def par(x: np.ndarray) -> float:
     """Peak-to-average ratio gamma(x) = max|x_i| / (norm(x)/sqrt(B)).
 
-    Accepts a SampleVector or a plain array.  Always in [1, sqrt(B)] for
-    nonzero x; raises ValueError on the zero vector.
+    Always in [1, sqrt(B)] for nonzero x; raises ValueError on the zero
+    vector.
     """
-    v = np.asarray(getattr(x, "samples", x), dtype=float)
+    v = np.asarray(x, dtype=float)
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ValueError("PAR is undefined for the zero vector")

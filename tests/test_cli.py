@@ -179,6 +179,27 @@ class TestCliMain:
         path.write_text(json.dumps({"ambient_dim": 8192, "rho_list": [3]}))
         assert main(["noise-folding", "--config", str(path)]) == 4
 
+    def test_oracle_fewer_measurements_than_band_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"ambient_dim": 64, "band_width": 4, "rho_list": [2, 32],
+                                    "methods": ["oracle"]}))
+        assert main(["noise-folding", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "oracle" in capsys.readouterr().err
+
+    def test_unusable_out_fails_before_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("cslab.cli.run_noise_folding_sweep", no_sweep)
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("")
+        code = main(["noise-folding", "--config", str(REPO / "configs" / "noise_folding.json"),
+                     "--out", str(blocker / "results")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_seed_repeatability_and_env_workers(self, tmp_path, capsys, monkeypatch):
         cfg = {"ambient_dim": 128, "band_width": 2, "rho_list": [2, 4],
                "isnr_targets_db": [40.0], "trials_per_point": 10,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cslab import recovery
 from cslab.experiments import (
     ContainmentConfig,
     QuantizerSweepSpec,
@@ -44,6 +45,12 @@ class TestSweepConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             SweepConfig(methods=("oracle", "omp"))
+
+    def test_oracle_with_fewer_measurements_than_band_rejected(self):
+        # rho = 32 leaves M = 2 < W = 4, which support-aware least squares cannot solve
+        with pytest.raises(ValueError, match="oracle"):
+            SweepConfig(ambient_dim=64, band_width=4, rho_list=(2, 32))
+        SweepConfig(ambient_dim=64, band_width=4, rho_list=(2, 32), methods=("cosamp",))
 
     def test_quantizer_guardrails(self):
         cfg = SweepConfig(ambient_dim=64, band_width=2, rho_list=(2,),
@@ -157,6 +164,17 @@ class TestQuantizationSweep:
             assert row.rsnr_db is not None
             assert row.bits >= 1
 
+    def test_measurement_noise_lowers_msnr(self):
+        def mean_msnr(noise_var):
+            cfg = SweepConfig(ambient_dim=256, band_width=4, rho_list=(1, 4),
+                              isnr_targets_db=(), trials_per_point=8, methods=("oracle",),
+                              master_seed=3, measurement_noise_var=noise_var,
+                              quantizer=QuantizerSweepSpec(base_bits=4))
+            res = run_quantization_sweep(cfg)
+            return np.mean([row.msnr_db for row in res.rows])
+
+        assert mean_msnr(0.01) < mean_msnr(0.0) - 3.0
+
 
 class TestAggregate:
     def test_linear_mean_then_db(self):
@@ -198,3 +216,12 @@ class TestBoundContainment:
         assert rep.oracle_error_mean == pytest.approx(rep.oracle_error_bounds[0], rel=0.05)
         assert rep.msnr_over_isnr == pytest.approx(2 / 16, rel=0.05)
         assert rep.whiteness_ok
+
+    def test_isometry_constant_above_one_fails_before_trials(self, monkeypatch):
+        # B=32, M=8, W=2 at seed 0 has an exhaustive delta of about 1.65
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(recovery, "oracle_recover", no_trials)
+        with pytest.raises(ValueError, match="delta must lie in"):
+            run_bound_containment(ContainmentConfig(n_measurements=8, trials=10))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cslab import metrics, theory
 from cslab.sensing import estimate_rip_constant, generate_ensemble, orthogonalize_rows
-from cslab.signal_model import generate_bandlimited, par, synthesize
+from cslab.signal_model import generate_bandlimited, par, synthesize_vector
 from cslab.quantization import QuantizerSpec, sqnr as quantizer_sqnr
 
 
@@ -145,7 +145,7 @@ class TestQuantizationLinkBounds:
             delta = estimate_rip_constant(ens, 2, mode="exhaustive")
             if delta >= 1.0:
                 continue
-            x = synthesize(sp).samples
+            x = synthesize_vector(sp.coeffs)
             y = ens.apply(sp.coeffs)
             beta = q.saturation / np.max(np.abs(y))
             bound = theory.measurement_sqnr_lower_bound(

@@ -201,7 +201,7 @@ class TestDynamicRangeEmpirical:
         for seed in range(5):
             c_sig, c_ens = np.random.SeedSequence((77, seed)).spawn(2)
             sp = signal_model.generate_bandlimited(B, W, "random", c_sig)
-            x = signal_model.synthesize(sp).samples
+            x = signal_model.synthesize_vector(sp.coeffs)
             ens = sensing.generate_subsampled_dct_ensemble(M, B, c_ens)
             y = ens.apply(sp.coeffs)
             conv = dynamic_range_empirical(q, x, C)

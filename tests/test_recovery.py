@@ -10,13 +10,7 @@ from cslab.sensing import (
     generate_subsampled_dct_ensemble,
     orthogonalize_rows,
 )
-from cslab.signal_model import (
-    SampleVector,
-    generate_bandlimited,
-    synthesis_matrix,
-    synthesize,
-    synthesize_vector,
-)
+from cslab.signal_model import generate_bandlimited, synthesis_matrix, synthesize_vector
 
 
 class TestOracleRecover:
@@ -157,7 +151,7 @@ class TestBandpassBaseline:
         for k in range(B):
             alpha = np.zeros(B)
             alpha[k] = 1.7
-            x = SampleVector(synthesize_vector(alpha), float(B))
+            x = synthesize_vector(alpha)
             decimated_basis = synthesis_matrix(B)[::rho, k]
             gains = psi_m.T @ decimated_basis
             if np.max(np.abs(gains)) < 1e-12:
@@ -169,7 +163,7 @@ class TestBandpassBaseline:
 
     def test_no_decimation_is_plain_analysis(self):
         sp = generate_bandlimited(16, 4, 5, 3)
-        out = bandpass_baseline(synthesize(sp), 1, sp.support)
+        out = bandpass_baseline(synthesize_vector(sp.coeffs), 1, sp.support)
         nptest.assert_allclose(out.coeffs_hat, sp.coeffs, atol=1e-10)
 
     def test_alias_collision_detected(self):
@@ -178,14 +172,14 @@ class TestBandpassBaseline:
         alpha = np.zeros(B)
         alpha[1] = 1.0   # cos, f = 1
         alpha[9] = 1.0   # cos, f = 5 = 1 + M
-        x = SampleVector(synthesize_vector(alpha), float(B))
+        x = synthesize_vector(alpha)
         with pytest.raises(ValueError):
             bandpass_baseline(x, rho, [1, 9])
 
     def test_rejects_non_divisor(self):
         sp = generate_bandlimited(16, 2, 0, 0)
         with pytest.raises(ValueError):
-            bandpass_baseline(synthesize(sp), 3, sp.support)
+            bandpass_baseline(synthesize_vector(sp.coeffs), 3, sp.support)
 
     def test_noise_folding_ratio(self):
         # white signal noise: in-band noise energy amplified by rho
@@ -195,7 +189,7 @@ class TestBandpassBaseline:
         for _ in range(10_000):
             sp = generate_bandlimited(B, W, "random", rng)
             noisy = sp.coeffs + 0.1 * rng.standard_normal(B)
-            x = SampleVector(synthesize_vector(noisy), float(B))
+            x = synthesize_vector(noisy)
             try:
                 out = bandpass_baseline(x, rho, sp.support)
             except ValueError:

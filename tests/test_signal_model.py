@@ -6,16 +6,13 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from cslab.signal_model import (
-    SampleVector,
     SparseSpectrum,
-    NoiseSpec,
     add_signal_noise,
     analyze_vector,
     generate_bandlimited,
     par,
     signal_noise_var_for_isnr,
     synthesis_matrix,
-    synthesize,
     synthesize_vector,
 )
 
@@ -29,19 +26,15 @@ class TestSparseSpectrum:
         with pytest.raises(ValueError):
             SparseSpectrum(4, np.array([4]), np.zeros(4))
 
-    def test_noise_spec_rejects_negative(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(signal_noise_var=-1.0)
-
 
 class TestSynthesize:
     def test_zero_vector(self):
         sp = SparseSpectrum(8, np.array([], dtype=int), np.zeros(8))
-        nptest.assert_array_equal(synthesize(sp).samples, np.zeros(8))
+        nptest.assert_array_equal(synthesize_vector(sp.coeffs), np.zeros(8))
 
     def test_dc_bin_is_constant_unit_norm(self):
         sp = SparseSpectrum(4, np.array([0]), np.array([1.0, 0, 0, 0]))
-        x = synthesize(sp).samples
+        x = synthesize_vector(sp.coeffs)
         nptest.assert_allclose(x, np.full(4, 0.5))
         assert abs(np.linalg.norm(x) - 1.0) < 1e-12
 
@@ -51,15 +44,14 @@ class TestSynthesize:
         Psi = synthesis_matrix(B)
         nptest.assert_allclose(Psi.T @ Psi, np.eye(B), atol=1e-12)
         sp = generate_bandlimited(B, 3, "random", 123)
-        x = synthesize(sp).samples
+        x = synthesize_vector(sp.coeffs)
         nptest.assert_allclose(x, Psi @ sp.coeffs, atol=1e-12)
 
     def test_isometry(self):
         sp = generate_bandlimited(64, 3, "random", 5)
-        x = synthesize(sp)
-        ratio = np.linalg.norm(x.samples) / np.linalg.norm(sp.coeffs)
+        x = synthesize_vector(sp.coeffs)
+        ratio = np.linalg.norm(x) / np.linalg.norm(sp.coeffs)
         assert abs(ratio - 1.0) < 1e-10
-        assert x.nyquist_rate == 64.0
 
     @pytest.mark.parametrize("B", [2, 3, 15, 16, 33])
     def test_analyze_inverts_synthesize(self, B):
@@ -111,10 +103,6 @@ class TestPar:
     def test_direct_evaluation(self):
         # max|x| = 4, ||x||/sqrt(2) = 5/sqrt(2)
         assert par(np.array([3.0, 4.0])) == pytest.approx(4 * np.sqrt(2) / 5)
-
-    def test_accepts_sample_vector(self):
-        sv = SampleVector(np.array([3.0, 4.0]), 2.0)
-        assert par(sv) == pytest.approx(4 * np.sqrt(2) / 5)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
