@@ -230,8 +230,11 @@ def _trial(cfg: SweepConfig, point_index: int, rho: int,
                 out = None
             hit = out is not None
         elif method == "oracle":
-            out = recovery.oracle_recover(ens, y, spectrum.support)
-            hit = True
+            try:
+                out = recovery.oracle_recover(ens, y, spectrum.support)
+            except np.linalg.LinAlgError:  # rank-deficient support block: a failed row
+                out = None
+            hit = out is not None
         else:
             out = recovery.cosamp(ens, y, W)
             hit = bool(np.array_equal(out.support_hat, spectrum.support))
@@ -250,12 +253,16 @@ def _run_block(args) -> tuple:
 
 
 def _resolve_workers(n_workers: int | None) -> int:
-    """Worker count for a sweep: None means serial, 0 one worker per CPU."""
+    """Worker count for a sweep: None means serial, 0 one worker per CPU this
+    process may run on."""
     if n_workers is None:
         n_workers = 1
     n_workers = int(n_workers)
     if n_workers == 0:
-        n_workers = os.cpu_count() or 1
+        try:
+            n_workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity API on this platform
+            n_workers = os.cpu_count() or 1
     return max(1, n_workers)
 
 
@@ -285,8 +292,8 @@ def run_noise_folding_sweep(cfg: SweepConfig, n_workers: int | None = 1) -> Expe
     Per trial: draw a band-limited signal, add signal noise hitting the ISNR
     target, acquire with a fresh orthogonal-row ensemble (oracle / cosamp) or
     decimate the synthesized samples (bandpass), recover, and record the
-    realized SNRs.  A bandpass alias collision marks the trial failed rather
-    than aborting the sweep.
+    realized SNRs.  A bandpass alias collision or a rank-deficient oracle
+    solve marks the trial failed rather than aborting the sweep.
     """
     if cfg.quantizer is not None:
         raise ValueError("noise-folding sweep is a noise-only study; remove the quantizer")

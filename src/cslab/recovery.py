@@ -31,7 +31,37 @@ class RecoveryOutput:
     residual_history: list = field(default_factory=list)
 
 
+# the Gram solve loses about log10(cond(G)) of the 16 digits; beyond this
+# condition number the SVD-based solver takes over
+GRAM_COND_LIMIT = 1e8
+
+
+def _gram_solve(columns: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """Least squares through one eigendecomposition of the k x k Gram matrix.
+
+    Returns None when the solve cannot be trusted: more columns than rows, a
+    failed factorization, or cond(G) above ``GRAM_COND_LIMIT``.
+    """
+    if columns.shape[1] > columns.shape[0]:  # G is singular; skip the factorization
+        return None
+    try:
+        w, v = np.linalg.eigh(columns.T @ columns)
+    except np.linalg.LinAlgError:
+        return None
+    if not w[0] > w[-1] / GRAM_COND_LIMIT:  # also catches NaN
+        return None
+    return v @ ((v.T @ (columns.T @ y)) / w)
+
+
 def _lstsq_on_support(columns: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Full-rank least squares; raises LinAlgError on a rank-deficient block.
+
+    The Gram solve answers well-conditioned blocks; every other block goes to
+    LAPACK gelsd, which alone decides whether the block is rank-deficient.
+    """
+    sol = _gram_solve(columns, y)
+    if sol is not None:
+        return sol
     sol, _, rank, _ = np.linalg.lstsq(columns, y, rcond=None)
     if rank < columns.shape[1]:
         raise np.linalg.LinAlgError("rank-deficient submatrix")
@@ -103,10 +133,13 @@ def cosamp(
         candidates = np.union1d(strongest, support)
         try:
             cand_cols = ensemble.columns(candidates)
-            cand_sol = np.linalg.lstsq(cand_cols, y, rcond=None)[0]
-            keep = np.argsort(np.abs(cand_sol))[-W:]
-            new_support = np.sort(candidates[keep])
-            new_cols = ensemble.columns(new_support)
+            cand_sol = _gram_solve(cand_cols, y)
+            if cand_sol is None:  # wide or ill-conditioned: minimum-norm solution
+                cand_sol = np.linalg.lstsq(cand_cols, y, rcond=None)[0]
+            # candidates are sorted, so sorted positions give a sorted support
+            keep = np.sort(np.argsort(np.abs(cand_sol))[-W:])
+            new_support = candidates[keep]
+            new_cols = cand_cols[:, keep]
             new_sol = _lstsq_on_support(new_cols, y)
         except np.linalg.LinAlgError:
             break

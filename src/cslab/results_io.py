@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -198,6 +199,18 @@ def _summary_to_dict(s: PointSummary) -> dict:
     return asdict(s)
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory and rename it into
+    place, so ``path`` holds either its old content or all of ``text``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
                   config_dict: dict | None = None, tool_version: str = "0.1.0") -> dict:
     """Persist a sweep: rows (csv or json), JSON summary of per-point means,
@@ -205,7 +218,9 @@ def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
     manifest.  Returns the written paths.
 
     Rows, summary, and plot data are byte-deterministic for identical
-    (result, fmt); the manifest carries a wall-clock timestamp.
+    (result, fmt); the manifest carries a wall-clock timestamp.  Each file is
+    written to a temporary file in ``out_dir`` and renamed into place, so a
+    failed run never leaves a partly written file.
     """
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
@@ -216,18 +231,18 @@ def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
     csv_text = rows_to_csv_text(result.rows)
     if fmt == "csv":
         rows_path = out / "rows.csv"
-        rows_path.write_text(csv_text)
+        _write_atomic(rows_path, csv_text)
     else:
         rows_path = out / "rows.json"
         payload = [dict(zip(CSV_HEADER.split(","), _row_to_fields(r))) for r in result.rows]
-        rows_path.write_text(json.dumps(payload, indent=1) + "\n")
+        _write_atomic(rows_path, json.dumps(payload, indent=1) + "\n")
     paths["rows"] = rows_path
 
     # aggregate from the serialized precision so persisted rows reproduce it
     rounded = [_fields_to_row(line.split(",")) for line in csv_text.splitlines()[1:]]
     summaries = aggregate(ExperimentResult(kind=result.kind, config=result.config, rows=rounded))
     summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(
+    _write_atomic(summary_path, json.dumps(
         {"kind": result.kind, "points": [_summary_to_dict(s) for s in summaries]},
         indent=1) + "\n")
     paths["summary"] = summary_path
@@ -241,7 +256,7 @@ def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
             format_number(s.mean_rsnr_db),
         ]))
     plot_path = out / "plotdata.csv"
-    plot_path.write_text("\n".join(plot_lines) + "\n")
+    _write_atomic(plot_path, "\n".join(plot_lines) + "\n")
     paths["plot"] = plot_path
 
     manifest = {
@@ -252,6 +267,6 @@ def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
         "output_paths": {k: str(v) for k, v in paths.items()},
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=1) + "\n")
+    _write_atomic(manifest_path, json.dumps(manifest, indent=1) + "\n")
     paths["manifest"] = manifest_path
     return paths

@@ -16,6 +16,7 @@ factor, rescale rows to norm sqrt(rho)).
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
@@ -110,13 +111,26 @@ class MeasurementEnsemble:
         if self._matrix is not None:
             return self._matrix[:, idx]
         # orthonormal DCT-II entries: T[0, j] = 1/sqrt(B),
-        # T[q, j] = sqrt(2/B) * cos(pi * q * (2j + 1) / (2B)) for q >= 1
+        # T[q, j] = sqrt(2/B) * cos(pi * q * (2j + 1) / (2B)) for q >= 1; the
+        # phase is a multiple of pi/(2B), so gather from a period-4B table
         B = self.cols
-        q = self._selected[:, None].astype(float)
-        j = idx[None, :].astype(float)
-        block = np.sqrt(2.0 / B) * np.cos(np.pi * q * (2.0 * j + 1.0) / (2.0 * B))
+        period = 4 * B
+        phase = np.multiply.outer(self._selected, 2 * idx + 1)
+        # floor_divide by a scalar is several times faster than np.remainder on int64
+        phase -= (phase // period) * period
+        block = _scaled_cosine_table(B)[phase]
         block[self._selected == 0, :] = 1.0 / np.sqrt(B)
-        return np.sqrt(self.subsampling) * self._signs[idx][None, :] * block
+        block *= np.sqrt(self.subsampling) * self._signs[idx]
+        return block
+
+
+@functools.lru_cache(maxsize=8)
+def _scaled_cosine_table(ambient_dim: int) -> np.ndarray:
+    """Read-only sqrt(2/B) * cos(pi * n / (2B)) for n = 0..4B-1."""
+    B = ambient_dim
+    table = np.sqrt(2.0 / B) * np.cos(np.pi * np.arange(4 * B) / (2.0 * B))
+    table.flags.writeable = False
+    return table
 
 
 def generate_ensemble(

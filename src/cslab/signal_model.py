@@ -58,8 +58,9 @@ class SparseSpectrum:
             if np.unique(self.support).size != self.support.size:
                 raise ValueError("support indices must be distinct")
         self.support = np.sort(self.support)
-        off = np.setdiff1d(np.arange(self.ambient_dim), self.support)
-        if off.size and np.any(self.coeffs[off] != 0.0):
+        off = np.ones(self.ambient_dim, dtype=bool)
+        off[self.support] = False
+        if np.any(self.coeffs[off] != 0.0):
             raise ValueError("coeffs must be zero off the support")
 
     @property

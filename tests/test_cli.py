@@ -100,6 +100,21 @@ class TestWriteResults:
         paths = write_results(res, tmp_path, "csv")
         assert Path(paths["rows"]).read_text() == CSV_HEADER + "\n"
 
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        (tmp_path / "rows.csv").write_text("earlier run\n")
+        write_text = Path.write_text
+
+        def write_half_then_fail(path, text, *args, **kwargs):
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="No space left"):
+            write_results(_tiny_result(), tmp_path, "csv")
+        monkeypatch.undo()
+        assert (tmp_path / "rows.csv").read_text() == "earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
+
     def test_round_trip_reproduces_rows(self, tmp_path):
         paths = write_results(_tiny_result(), tmp_path, "csv")
         rows = read_rows_csv(paths["rows"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cslab import recovery
+from cslab import experiments, recovery
 from cslab.experiments import (
     ContainmentConfig,
     QuantizerSweepSpec,
@@ -35,6 +35,22 @@ class TestTrialSeeds:
             derive_trial_seed(0, -1, 0)
         with pytest.raises(ValueError):
             derive_trial_seed(0, 0, 2**32)
+
+
+class TestResolveWorkers:
+    def test_zero_counts_cpus_in_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+        assert experiments._resolve_workers(0) == 3
+        assert experiments._resolve_workers(None) == 1
+        assert experiments._resolve_workers(2) == 2
+
+    def test_zero_without_affinity_api_counts_all_cpus(self, monkeypatch):
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 6)
+        assert experiments._resolve_workers(0) == 6
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert experiments._resolve_workers(0) == 1
 
 
 class TestSweepConfig:
@@ -105,6 +121,23 @@ class TestNoiseFoldingSweep:
         failed_rows = [r for r in res.rows if r.rsnr_db is None]
         assert all(not r.support_exact for r in failed_rows)
         assert summary.n_failed == len(failed_rows)
+
+    def test_oracle_solve_failure_is_a_failed_row(self, monkeypatch):
+        calls = []
+        original = recovery.oracle_recover
+
+        def fail_third_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("rank-deficient submatrix")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "oracle_recover", fail_third_call)
+        res = run_noise_folding_sweep(_small_cfg(trials_per_point=4, methods=("oracle",)))
+        assert len(res.rows) == 8
+        failed = [r for r in res.rows if r.rsnr_db is None]
+        assert [(r.rho, r.trial, r.support_exact) for r in failed] == [(2, 2, False)]
+        assert [s.n_failed for s in aggregate(res)] == [1, 0]
 
     def test_oracle_tracks_bandpass(self):
         # mean-dB curves: stable under the heavy-tailed per-trial linear ratios

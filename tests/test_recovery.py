@@ -1,9 +1,18 @@
 import numpy as np
 import numpy.testing as nptest
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cslab import metrics
-from cslab.recovery import bandpass_baseline, cosamp, oracle_recover
+from cslab.recovery import (
+    GRAM_COND_LIMIT,
+    _gram_solve,
+    _lstsq_on_support,
+    bandpass_baseline,
+    cosamp,
+    oracle_recover,
+)
 from cslab.sensing import (
     estimate_rip_constant,
     generate_ensemble,
@@ -69,6 +78,62 @@ class TestOracleRecover:
             total += np.sum((out.coeffs_hat - sp.coeffs) ** 2)
         mean_err = total / trials
         assert 2 / (1 + delta) <= mean_err <= 2 / (1 - delta)
+
+
+def _gelsd(columns, y):
+    return np.linalg.lstsq(columns, y, rcond=None)[0]
+
+
+class TestGramSolve:
+    @pytest.mark.parametrize("n_rows,n_cols", [(8192, 13), (1024, 13), (8192, 39),
+                                               (1024, 39), (64, 39)])
+    def test_matches_gelsd_on_sweep_blocks(self, n_rows, n_cols):
+        # W = 13 oracle/refit blocks and 39-column CoSaMP candidate blocks
+        B = 8192
+        ens = generate_subsampled_dct_ensemble(n_rows, B, 3)
+        rng = np.random.default_rng(4)
+        cols = ens.columns(np.sort(rng.choice(B, n_cols, replace=False)))
+        y = rng.standard_normal(n_rows)
+        assert _gram_solve(cols, y) is not None
+        nptest.assert_allclose(_lstsq_on_support(cols, y), _gelsd(cols, y), rtol=1e-9)
+
+    @given(st.integers(1, 20), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    def test_matches_gelsd_within_conditioning(self, k, extra_rows, seed):
+        rng = np.random.default_rng(seed)
+        cols = rng.standard_normal((k + extra_rows, k))
+        y = rng.standard_normal(k + extra_rows)
+        sol = _gram_solve(cols, y)
+        if sol is not None:
+            ref = _gelsd(cols, y)
+            cond = np.linalg.cond(cols.T @ cols)
+            assert cond <= GRAM_COND_LIMIT * (1 + 1e-6)
+            assert np.linalg.norm(sol - ref) <= 1e-12 * cond * np.linalg.norm(ref)
+
+    def test_wider_than_tall_falls_back(self):
+        # rho = 256, W = 13: up to 39 CoSaMP candidates against M = 32 rows
+        ens = generate_subsampled_dct_ensemble(32, 8192, 5)
+        cols = ens.columns(np.arange(0, 8192, 211)[:39])
+        y = np.random.default_rng(6).standard_normal(32)
+        assert _gram_solve(cols, y) is None
+        with pytest.raises(np.linalg.LinAlgError):
+            _lstsq_on_support(cols, y)
+
+    def test_ill_conditioned_block_goes_to_gelsd(self):
+        # cond(A) ~ 1e7, so cond(G) ~ 1e14 trips the guard and gelsd answers
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(rng.standard_normal((100, 5)))
+        v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        cols = u @ np.diag(np.logspace(0, -7, 5)) @ v.T
+        y = rng.standard_normal(100)
+        assert _gram_solve(cols, y) is None
+        nptest.assert_array_equal(_lstsq_on_support(cols, y), _gelsd(cols, y))
+
+    def test_rank_deficient_block_detected(self):
+        cols = np.random.default_rng(8).standard_normal((16, 3))
+        cols[:, 2] = cols[:, 0] + cols[:, 1]
+        assert _gram_solve(cols, np.ones(16)) is None
+        with pytest.raises(np.linalg.LinAlgError):
+            _lstsq_on_support(cols, np.ones(16))
 
 
 class TestCosamp:

@@ -3,9 +3,12 @@ import itertools
 import numpy as np
 import numpy.testing as nptest
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cslab.sensing import (
     MeasurementEnsemble,
+    _scaled_cosine_table,
     estimate_rip_constant,
     generate_ensemble,
     generate_subsampled_dct_ensemble,
@@ -56,18 +59,58 @@ class TestSubsampledDct:
         assert ens.row_norm_target == pytest.approx(2.0)
 
     def test_operator_matches_matrix(self):
+        # the reference comes from the scipy.fft path (apply on unit vectors);
+        # .matrix is built by columns(), so it is compared last, never used as a reference
         ens = generate_subsampled_dct_ensemble(16, 64, 5)
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(64)
-        r = rng.standard_normal(16)
-        nptest.assert_allclose(ens.apply(v), ens.matrix @ v, atol=1e-12)
-        nptest.assert_allclose(ens.apply_transpose(r), ens.matrix.T @ r, atol=1e-12)
+        reference = np.column_stack([ens.apply(e) for e in np.eye(64)])
         idx = [0, 7, 63]
-        nptest.assert_allclose(ens.columns(idx), ens.matrix[:, idx], atol=1e-12)
+        nptest.assert_allclose(ens.columns(idx), reference[:, idx], atol=1e-12)
+        r = np.random.default_rng(0).standard_normal(16)
+        nptest.assert_allclose(ens.apply_transpose(r), reference.T @ r, atol=1e-12)
+        nptest.assert_allclose(ens.matrix, reference, atol=1e-12)
 
     def test_square_case_is_orthogonal(self):
         ens = generate_subsampled_dct_ensemble(16, 16, 1)
         nptest.assert_allclose(ens.matrix @ ens.matrix.T, np.eye(16), atol=1e-12)
+
+
+def _columns_by_cos(ens, idx):
+    """Reference block: one cos per entry of the sign-flipped, scaled DCT-II."""
+    B = ens.cols
+    q = ens._selected[:, None].astype(float)
+    j = np.asarray(idx)[None, :].astype(float)
+    block = np.sqrt(2.0 / B) * np.cos(np.pi * q * (2.0 * j + 1.0) / (2.0 * B))
+    block[ens._selected == 0, :] = 1.0 / np.sqrt(B)
+    return np.sqrt(ens.subsampling) * ens._signs[idx][None, :] * block
+
+
+class TestColumnsCosineTable:
+    @pytest.mark.parametrize("n_rows", [8192, 1024, 32])
+    def test_matches_cos_formula(self, n_rows):
+        B = 8192
+        ens = generate_subsampled_dct_ensemble(n_rows, B, 29)
+        rng = np.random.default_rng(30)
+        idx = np.sort(np.concatenate([[0, B - 1], rng.choice(np.arange(1, B - 1), 37, replace=False)]))
+        nptest.assert_allclose(ens.columns(idx), _columns_by_cos(ens, idx), rtol=0, atol=1e-12)
+
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_matches_cos_formula_any_size(self, B, seed):
+        rng = np.random.default_rng(seed)
+        M = int(rng.integers(1, B + 1))
+        ens = generate_subsampled_dct_ensemble(M, B, seed)
+        idx = rng.choice(B, int(rng.integers(1, min(B, 40) + 1)), replace=False)
+        block = ens.columns(idx)
+        nptest.assert_allclose(block, _columns_by_cos(ens, idx), rtol=0, atol=1e-12)
+        # CoSaMP slices a candidate block instead of extracting the columns again
+        keep = np.sort(rng.choice(idx.size, (idx.size + 1) // 2, replace=False))
+        nptest.assert_array_equal(block[:, keep], ens.columns(idx[keep]))
+
+    def test_table_cached_per_size_and_read_only(self):
+        table = _scaled_cosine_table(64)
+        assert table.shape == (256,)
+        assert _scaled_cosine_table(64) is table
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 class TestOrthogonalizeRows:
