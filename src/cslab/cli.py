@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from .results_io import (
     ConfigDivisibilityError,
     ConfigFileError,
     ConfigSchemaError,
+    _write_atomic,
     build_sweep_config,
     load_config_dict,
     write_results,
@@ -45,6 +47,12 @@ def _workers_from_env() -> int:
     if value < 0:
         raise ConfigSchemaError("CSLAB_THREADS must be >= 0")
     return value
+
+
+def _write_report(path, report: dict) -> None:
+    """Write a subcommand's JSON report atomically, like the sweep outputs."""
+    _write_atomic(Path(path), json.dumps(report, indent=1) + "\n")
+    print(f"report: {path}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,8 +117,7 @@ def _cmd_sweep(args, kind: str) -> int:
         result = run_noise_folding_sweep(cfg, n_workers=workers)
     else:
         result = run_quantization_sweep(cfg, n_workers=workers)
-    paths = write_results(result, args.out, fmt=args.format,
-                          config_dict=data, tool_version=__version__)
+    paths = write_results(result, args.out, fmt=args.format, config_dict=data)
     summary = json.loads(Path(paths["summary"]).read_text())
     for point in summary["points"]:
         print(
@@ -157,8 +164,7 @@ def _cmd_dynamic_range(args) -> int:
     print(f"empirical dynamic range ({args.path}): {emp.dr_db:.2f} dB "
           f"(beta in [{emp.beta_min:.4g}, {emp.beta_max:.4g}])")
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-        print(f"report: {args.out}")
+        _write_report(args.out, report)
     return 0
 
 
@@ -176,11 +182,10 @@ def _cmd_rip_estimate(args) -> int:
     qualifier = "exact" if args.mode == "exhaustive" else "lower bound"
     print(f"delta_hat = {delta:.6f} ({qualifier}, order {args.sparsity})")
     if args.out:
-        Path(args.out).write_text(json.dumps({
+        _write_report(args.out, {
             "ambient_dim": args.ambient_dim, "measurements": args.measurements,
             "sparsity": args.sparsity, "mode": args.mode, "delta_hat": delta,
-        }, indent=1) + "\n")
-        print(f"report: {args.out}")
+        })
     return 0
 
 
@@ -207,14 +212,7 @@ def _cmd_design_rules(args) -> int:
     print(f"nyquist_rate_hz:    {params['ambient_dim']:.6g}")
     print(f"reduced_rate_hz:    {reduced_rate:.6g}")
     if args.out:
-        Path(args.out).write_text(json.dumps({
-            **params,
-            "rho_max": report.rho_max, "rho_cs": report.rho_cs,
-            "noise_figure_db": report.noise_figure_db, "bit_gain": report.bit_gain,
-            "projected_bits": report.projected_bits, "projected_dr_db": report.projected_dr_db,
-            "reduced_rate_hz": reduced_rate,
-        }, indent=1) + "\n")
-        print(f"report: {args.out}")
+        _write_report(args.out, {**params, **asdict(report), "reduced_rate_hz": reduced_rate})
     return 0
 
 

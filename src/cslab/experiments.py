@@ -439,7 +439,8 @@ def run_bound_containment(cfg: ContainmentConfig) -> ContainmentReport:
 
         # white measurement-noise path
         e = sigma_e * rng.standard_normal(M)
-        y = ens.apply(coeffs) + e
+        clean = ens.apply(coeffs)
+        y = clean + e
         out = recovery.oracle_recover(ens, y, support)
         sq_err_sum += float(np.sum((out.coeffs_hat - coeffs) ** 2))
 
@@ -450,7 +451,7 @@ def run_bound_containment(cfg: ContainmentConfig) -> ContainmentReport:
         y2 = ens.apply(coeffs + n)
         out2 = recovery.oracle_recover(ens, y2, support)
         folded_err_sum += float(np.sum((out2.coeffs_hat - coeffs) ** 2))
-        meas_energy_sum += float(np.sum(ens.apply(coeffs) ** 2))
+        meas_energy_sum += float(np.sum(clean**2))
         folded_noise_energy_sum += float(np.sum(zn**2))
         alpha_energy_sum += float(np.sum(coeffs**2))
         inband_noise_sum += float(np.sum(n[support] ** 2))

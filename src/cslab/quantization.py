@@ -119,10 +119,17 @@ def dynamic_range_closed_form(
     )
 
 
-def _bisect_boundary(snr_fn, passing: float, failing: float, target: float, rel_res: float) -> float:
-    """Shrink (failing, passing) until the endpoints differ by rel_res; return
-    the best passing point.  Works for both orientations of the interval."""
-    while abs(passing - failing) > rel_res * max(abs(passing), abs(failing)):
+# search grid of ``dynamic_range_empirical``
+SEARCH_GRID_POINTS = 241
+SEARCH_SPAN_DECADES = 6.0
+SEARCH_REL_RESOLUTION = 1e-3
+
+
+def _bisect_boundary(snr_fn, passing: float, failing: float, target: float) -> float:
+    """Shrink (failing, passing) until the endpoints differ by
+    SEARCH_REL_RESOLUTION; return the best passing point.  Works for both
+    orientations of the interval."""
+    while abs(passing - failing) > SEARCH_REL_RESOLUTION * max(abs(passing), abs(failing)):
         mid = np.sqrt(passing * failing)  # geometric midpoint of a log interval
         if snr_fn(mid) >= target:
             passing = mid
@@ -137,18 +144,15 @@ def dynamic_range_empirical(
     target_snr: float,
     snr_fn=None,
     anchor: float | None = None,
-    n_grid: int = 241,
-    span_decades: float = 6.0,
-    rel_resolution: float = 1e-3,
 ) -> DynamicRangeResult:
     """Certified-by-sampling scaling interval for an arbitrary SNR curve.
 
-    Walks a log-spaced grid of scalings beta over
-    [10^-span, 10^span] * anchor outward from the anchor, keeping the
-    contiguous run where ``snr_fn(beta) >= target_snr``, then refines both
-    edges by bisection to the given relative resolution.  The SNR curve need
-    not be monotone in beta, so the interval is certified only at the tested
-    points (grid resolution documented by the arguments).
+    Walks a log-spaced grid of ``SEARCH_GRID_POINTS`` scalings beta over
+    [10^-span, 10^span] * anchor (span = ``SEARCH_SPAN_DECADES``) outward from
+    the anchor, keeping the contiguous run where ``snr_fn(beta) >=
+    target_snr``, then refines both edges by bisection to the relative
+    resolution ``SEARCH_REL_RESOLUTION``.  The SNR curve need not be monotone
+    in beta, so the interval is certified only at the tested points.
 
     ``snr_fn`` defaults to the quantizer's own SQNR.  ``anchor`` defaults to
     the full-range scaling G / max|x|; a recovery-based curve should anchor at
@@ -165,7 +169,7 @@ def dynamic_range_empirical(
         anchor = spec.saturation / peak
     if snr_fn(anchor) < target_snr:
         raise ValueError("target SNR unachievable at the full-range anchor scaling")
-    exps = np.linspace(-span_decades, span_decades, int(n_grid))
+    exps = np.linspace(-SEARCH_SPAN_DECADES, SEARCH_SPAN_DECADES, SEARCH_GRID_POINTS)
     grid = anchor * 10.0**exps
     anchor_idx = int(np.argmin(np.abs(exps)))
 
@@ -174,14 +178,14 @@ def dynamic_range_empirical(
         lo_idx -= 1
     beta_min = grid[lo_idx]
     if lo_idx > 0:
-        beta_min = _bisect_boundary(snr_fn, grid[lo_idx], grid[lo_idx - 1], target_snr, rel_resolution)
+        beta_min = _bisect_boundary(snr_fn, grid[lo_idx], grid[lo_idx - 1], target_snr)
 
     hi_idx = anchor_idx
     while hi_idx < grid.size - 1 and snr_fn(grid[hi_idx + 1]) >= target_snr:
         hi_idx += 1
     beta_max = grid[hi_idx]
     if hi_idx < grid.size - 1:
-        beta_max = _bisect_boundary(snr_fn, grid[hi_idx], grid[hi_idx + 1], target_snr, rel_resolution)
+        beta_max = _bisect_boundary(snr_fn, grid[hi_idx], grid[hi_idx + 1], target_snr)
 
     dr = (beta_max / beta_min) ** 2
     return DynamicRangeResult(

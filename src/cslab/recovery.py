@@ -35,6 +35,10 @@ class RecoveryOutput:
 # condition number the SVD-based solver takes over
 GRAM_COND_LIMIT = 1e8
 
+# CoSaMP halting rule, see ``cosamp``
+COSAMP_MAX_ITER = 50
+COSAMP_TOL = 1e-6
+
 
 def _gram_solve(columns: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     """Least squares through one eigendecomposition of the k x k Gram matrix.
@@ -85,20 +89,15 @@ def oracle_recover(ensemble, y: np.ndarray, support) -> RecoveryOutput:
     return RecoveryOutput(coeffs_hat=coeffs, support_hat=support)
 
 
-def cosamp(
-    ensemble,
-    y: np.ndarray,
-    sparsity: int,
-    max_iter: int = 50,
-    tol: float = 1e-6,
-) -> RecoveryOutput:
+def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
     """Greedy W-sparse recovery.
 
     Each iteration: correlate the residual against the columns, merge the 2W
     strongest indices with the current support, least-squares on the merged
     candidate set, prune to the W largest entries, refit on the pruned support
     and recompute the residual.  Halts when the residual norm changes by less
-    than ``tol * ||y||`` between iterations or after ``max_iter`` iterations;
+    than ``COSAMP_TOL * ||y||`` between iterations or after
+    ``COSAMP_MAX_ITER`` iterations;
     an iteration that would increase the residual is rejected (the previous
     state is kept), so the recorded residual norms never increase.  A failed
     least-squares solve ends the run as non-converged rather than raising.
@@ -126,7 +125,7 @@ def cosamp(
     converged = False
     it = 0
     n_strong = min(2 * W, B)
-    while it < max_iter:
+    while it < COSAMP_MAX_ITER:
         it += 1
         proxy = ensemble.apply_transpose(residual)
         strongest = np.argpartition(np.abs(proxy), -n_strong)[-n_strong:]
@@ -147,7 +146,7 @@ def cosamp(
         new_norm = float(np.linalg.norm(new_residual))
         if new_norm > res_norm:
             # reject the step; a sub-tolerance oscillation still counts as settled
-            converged = new_norm - res_norm < tol * y_norm
+            converged = new_norm - res_norm < COSAMP_TOL * y_norm
             break
         support = new_support
         coeffs = np.zeros(B)
@@ -155,7 +154,7 @@ def cosamp(
         improvement = res_norm - new_norm
         residual, res_norm = new_residual, new_norm
         history.append(res_norm)
-        if improvement < tol * y_norm:
+        if improvement < COSAMP_TOL * y_norm:
             converged = True
             break
 

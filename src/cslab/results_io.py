@@ -12,15 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .experiments import (
     ExperimentResult,
-    PointSummary,
     QuantizerSweepSpec,
     SweepConfig,
     TrialRow,
@@ -35,7 +35,6 @@ __all__ = [
     "format_number",
     "load_config_dict",
     "build_sweep_config",
-    "parse_config",
     "config_hash",
     "write_results",
     "read_rows_csv",
@@ -61,20 +60,6 @@ class ConfigDivisibilityError(Exception):
 
 
 CSV_HEADER = "rho,isnr_target_db,method,trial,seed,isnr_db,msnr_db,rsnr_db,support_exact,bits"
-
-_SWEEP_KEYS = {
-    "ambient_dim",
-    "band_width",
-    "rho_list",
-    "isnr_targets_db",
-    "trials_per_point",
-    "methods",
-    "master_seed",
-    "ensemble",
-    "measurement_noise_var",
-    "quantizer",
-}
-_QUANTIZER_KEYS = {"base_bits", "saturation"}
 
 
 def format_number(value) -> str:
@@ -109,7 +94,7 @@ def load_config_dict(path) -> dict:
 
 def build_sweep_config(data: dict) -> SweepConfig:
     """Validate a config dict strictly and build a SweepConfig."""
-    unknown = set(data) - _SWEEP_KEYS
+    unknown = set(data) - {f.name for f in fields(SweepConfig)}
     if unknown:
         raise ConfigSchemaError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(data)
@@ -117,7 +102,7 @@ def build_sweep_config(data: dict) -> SweepConfig:
     if quantizer is not None:
         if not isinstance(quantizer, dict):
             raise ConfigSchemaError("quantizer must be an object")
-        bad = set(quantizer) - _QUANTIZER_KEYS
+        bad = set(quantizer) - {f.name for f in fields(QuantizerSweepSpec)}
         if bad:
             raise ConfigSchemaError(f"unknown quantizer keys: {sorted(bad)}")
         try:
@@ -133,11 +118,6 @@ def build_sweep_config(data: dict) -> SweepConfig:
     except TypeError as exc:
         raise ConfigSchemaError(str(exc)) from exc
     return cfg
-
-
-def parse_config(path) -> SweepConfig:
-    """Load and strictly validate a sweep config file."""
-    return build_sweep_config(load_config_dict(path))
 
 
 def config_hash(data: dict) -> str:
@@ -195,10 +175,6 @@ def read_rows_csv(path) -> list[TrialRow]:
     return [_fields_to_row(ln.split(",")) for ln in lines[1:]]
 
 
-def _summary_to_dict(s: PointSummary) -> dict:
-    return asdict(s)
-
-
 def _write_atomic(path: Path, text: str) -> None:
     """Write through a temporary file in the same directory and rename it into
     place, so ``path`` holds either its old content or all of ``text``."""
@@ -212,7 +188,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
-                  config_dict: dict | None = None, tool_version: str = "0.1.0") -> dict:
+                  config_dict: dict | None = None) -> dict:
     """Persist a sweep: rows (csv or json), JSON summary of per-point means,
     a plot-data CSV of (log2 rho, mean rsnr dB) series per method, and a run
     manifest.  Returns the written paths.
@@ -243,7 +219,7 @@ def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
     summaries = aggregate(ExperimentResult(kind=result.kind, config=result.config, rows=rounded))
     summary_path = out / "summary.json"
     _write_atomic(summary_path, json.dumps(
-        {"kind": result.kind, "points": [_summary_to_dict(s) for s in summaries]},
+        {"kind": result.kind, "points": [asdict(s) for s in summaries]},
         indent=1) + "\n")
     paths["summary"] = summary_path
 
@@ -261,7 +237,7 @@ def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
 
     manifest = {
         "config_hash": config_hash(config_dict) if config_dict is not None else None,
-        "tool_version": tool_version,
+        "tool_version": __version__,
         "master_seed": result.config.master_seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "output_paths": {k: str(v) for k, v in paths.items()},

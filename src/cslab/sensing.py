@@ -9,6 +9,9 @@ Three families are provided:
   orthogonal by construction and the operator applies in O(B log B), which is
   what makes desk-scale Monte Carlo sweeps affordable.
 
+A ``MeasurementEnsemble`` holds either the dense matrix or the (signs,
+selected rows) pair, never both, and takes its shape from those arrays.
+
 ``orthogonalize_rows`` turns any full-row-rank ensemble into one with
 ``R @ R.T == rho * I`` on the same row space (reduced SVD, keep the right
 factor, rescale rows to norm sqrt(rho)).
@@ -39,34 +42,32 @@ EXHAUSTIVE_SUPPORT_LIMIT = 10**6
 
 
 class MeasurementEnsemble:
-    """An M x B measurement operator with metadata.
+    """An M x B measurement operator held in exactly one representation.
 
-    For the dense families the matrix is stored directly.  For
-    ``subsampled_dct`` the operator is held implicitly (signs + selected rows)
-    and ``.matrix`` materializes it on demand, so small-scale tests can treat
-    every ensemble uniformly while sweeps never pay the O(M*B) storage cost.
+    The dense families hold ``matrix``.  ``subsampled_dct`` holds ``signs``
+    (length B) and ``selected_rows`` (the M kept DCT rows) and applies in
+    O(B log B).  ``rows`` and ``cols`` are read off those arrays.  For an
+    implicit ensemble ``.matrix`` is built fresh on every read and never
+    stored, so reading it never changes how the operator applies.
     """
 
     def __init__(
         self,
-        rows: int,
-        cols: int,
-        distribution: str,
-        row_orthogonalized: bool = False,
         matrix: np.ndarray | None = None,
         signs: np.ndarray | None = None,
         selected_rows: np.ndarray | None = None,
-        row_norm_target: float | None = None,
     ):
+        if matrix is not None and signs is None and selected_rows is None:
+            rows, cols = np.shape(matrix)
+        elif matrix is None and signs is not None and selected_rows is not None:
+            rows, cols = len(selected_rows), len(signs)
+        else:
+            raise ValueError("pass either matrix, or signs and selected_rows")
         if rows < 1 or cols < 1:
             raise ValueError("rows and cols must be positive")
         if rows > cols:
             raise ValueError("rows cannot exceed cols (need rho = B/M >= 1)")
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.distribution = distribution
-        self.row_orthogonalized = bool(row_orthogonalized)
-        self.row_norm_target = row_norm_target
+        self.rows, self.cols = rows, cols
         self._matrix = matrix
         self._signs = signs
         self._selected = selected_rows
@@ -78,9 +79,10 @@ class MeasurementEnsemble:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = self.columns(np.arange(self.cols))
-        return self._matrix
+        """The dense M x B matrix; built anew on each read for ``subsampled_dct``."""
+        if self._matrix is not None:
+            return self._matrix
+        return self.columns(np.arange(self.cols))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """R @ v."""
@@ -154,7 +156,7 @@ def generate_ensemble(
         mat = (2.0 * rng.integers(0, 2, size=(M, B)) - 1.0) / np.sqrt(M)
     else:
         raise ValueError(f"unknown distribution {distribution!r}")
-    return MeasurementEnsemble(M, B, distribution, matrix=mat)
+    return MeasurementEnsemble(matrix=mat)
 
 
 def generate_subsampled_dct_ensemble(
@@ -174,15 +176,7 @@ def generate_subsampled_dct_ensemble(
     rng = np.random.default_rng(rng_seed)
     signs = 2.0 * rng.integers(0, 2, size=B) - 1.0
     selected = np.sort(rng.choice(B, size=M, replace=False))
-    return MeasurementEnsemble(
-        M,
-        B,
-        "subsampled_dct",
-        row_orthogonalized=True,
-        signs=signs,
-        selected_rows=selected,
-        row_norm_target=float(np.sqrt(B / M)),
-    )
+    return MeasurementEnsemble(signs=signs, selected_rows=selected)
 
 
 def orthogonalize_rows(ensemble: MeasurementEnsemble) -> MeasurementEnsemble:
@@ -195,15 +189,7 @@ def orthogonalize_rows(ensemble: MeasurementEnsemble) -> MeasurementEnsemble:
     _, s, vt = np.linalg.svd(R, full_matrices=False)
     if s[-1] <= RANK_TOL * s[0]:
         raise ValueError("ensemble is rank deficient; cannot orthogonalize rows")
-    scale = np.sqrt(ensemble.subsampling)
-    return MeasurementEnsemble(
-        ensemble.rows,
-        ensemble.cols,
-        ensemble.distribution,
-        row_orthogonalized=True,
-        matrix=scale * vt,
-        row_norm_target=float(scale),
-    )
+    return MeasurementEnsemble(matrix=np.sqrt(ensemble.subsampling) * vt)
 
 
 def measure(

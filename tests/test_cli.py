@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from cslab import __version__
 from cslab.cli import main
 from cslab.experiments import ExperimentResult, SweepConfig, TrialRow, aggregate
 from cslab.results_io import (
@@ -13,7 +14,7 @@ from cslab.results_io import (
     build_sweep_config,
     config_hash,
     format_number,
-    parse_config,
+    load_config_dict,
     read_rows_csv,
     write_results,
 )
@@ -42,14 +43,14 @@ class TestParseConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"ambient_dim": 64, "band_width": 2, "rho_list": [2]}))
-        cfg = parse_config(path)
+        cfg = build_sweep_config(load_config_dict(path))
         assert cfg.trials_per_point == 200
         assert cfg.ensemble == "subsampled_dct"
         assert cfg.methods == ("oracle", "cosamp", "bandpass")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigFileError):
-            parse_config(tmp_path / "absent.json")
+            load_config_dict(tmp_path / "absent.json")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigSchemaError):
@@ -64,7 +65,7 @@ class TestParseConfig:
             build_sweep_config({"quantizer": {"bits": 4}})
 
     def test_noise_folding_fixture_matches_documented_values(self):
-        cfg = parse_config(REPO / "configs" / "noise_folding.json")
+        cfg = build_sweep_config(load_config_dict(REPO / "configs" / "noise_folding.json"))
         assert cfg == SweepConfig(
             ambient_dim=8192,
             band_width=4,
@@ -151,10 +152,9 @@ class TestWriteResults:
         assert payload[0]["support_exact"] == "true"
 
     def test_manifest_fields(self, tmp_path):
-        paths = write_results(_tiny_result(), tmp_path, "csv",
-                              config_dict={"ambient_dim": 64}, tool_version="0.1.0")
+        paths = write_results(_tiny_result(), tmp_path, "csv", config_dict={"ambient_dim": 64})
         manifest = json.loads(Path(paths["manifest"]).read_text())
-        assert manifest["tool_version"] == "0.1.0"
+        assert manifest["tool_version"] == __version__
         assert manifest["master_seed"] == 1
         assert manifest["config_hash"] == config_hash({"ambient_dim": 64})
         assert set(manifest["output_paths"]) == {"rows", "summary", "plot"}
@@ -266,3 +266,34 @@ class TestCliMain:
         rows = read_rows_csv(out_dir / "rows.csv")
         bits = {r.rho: r.bits for r in rows}
         assert bits == {1: 4, 2: 5}  # anchor, then one octave along the trend
+
+    @pytest.mark.parametrize("argv", [
+        ["dynamic-range", "--bits", "8", "--target-snr", "100", "--ambient-dim", "64",
+         "--band-width", "2"],
+        ["rip-estimate", "--ambient-dim", "32", "--measurements", "12", "--sparsity", "2"],
+        ["design-rules"],
+    ])
+    def test_failed_report_write_keeps_earlier_report(self, argv, tmp_path, capsys, monkeypatch):
+        report = tmp_path / "report.json"
+        report.write_text("earlier report\n")
+        write_text = Path.write_text
+
+        def write_half_then_fail(path, text, *args, **kwargs):
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        assert main(argv + ["--out", str(report)]) == 1
+        monkeypatch.undo()
+        assert "No space left" in capsys.readouterr().err
+        assert report.read_text() == "earlier report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_design_rules_report_fields(self, tmp_path, capsys):
+        report = tmp_path / "rules.json"
+        assert main(["design-rules", "--out", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert list(data) == ["ambient_dim", "band_width", "kappa0", "base_bits", "rho_max",
+                              "rho_cs", "noise_figure_db", "bit_gain", "projected_bits",
+                              "projected_dr_db", "reduced_rate_hz"]
+        assert data["reduced_rate_hz"] == pytest.approx(data["ambient_dim"] / data["rho_cs"])

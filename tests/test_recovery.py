@@ -59,7 +59,7 @@ class TestOracleRecover:
         mat[:, 5] = mat[:, 2]
         from cslab.sensing import MeasurementEnsemble
 
-        ens = MeasurementEnsemble(4, 8, "gaussian", matrix=mat)
+        ens = MeasurementEnsemble(matrix=mat)
         with pytest.raises(np.linalg.LinAlgError):
             oracle_recover(ens, np.ones(4), [2, 5])
 

@@ -55,8 +55,6 @@ class TestSubsampledDct:
         ens = generate_subsampled_dct_ensemble(8, 32, 3)
         rho = 4.0
         nptest.assert_allclose(ens.matrix @ ens.matrix.T, rho * np.eye(8), atol=1e-12)
-        assert ens.row_orthogonalized
-        assert ens.row_norm_target == pytest.approx(2.0)
 
     def test_operator_matches_matrix(self):
         # the reference comes from the scipy.fft path (apply on unit vectors);
@@ -72,6 +70,41 @@ class TestSubsampledDct:
     def test_square_case_is_orthogonal(self):
         ens = generate_subsampled_dct_ensemble(16, 16, 1)
         nptest.assert_allclose(ens.matrix @ ens.matrix.T, np.eye(16), atol=1e-12)
+
+    def test_reading_matrix_leaves_operator_unchanged(self):
+        ens = generate_subsampled_dct_ensemble(128, 1024, 8)
+        fresh = generate_subsampled_dct_ensemble(128, 1024, 8)
+        dense = ens.matrix
+        assert ens._matrix is None
+        nptest.assert_array_equal(ens.matrix, dense)
+        rng = np.random.default_rng(9)
+        v, r = rng.standard_normal(1024), rng.standard_normal(128)
+        idx = rng.choice(1024, 39, replace=False)
+        nptest.assert_array_equal(ens.apply(v), fresh.apply(v))
+        nptest.assert_array_equal(ens.apply_transpose(r), fresh.apply_transpose(r))
+        nptest.assert_array_equal(ens.columns(idx), fresh.columns(idx))
+
+
+class TestMeasurementEnsemble:
+    def test_shape_comes_from_the_arrays(self):
+        dense = MeasurementEnsemble(matrix=np.ones((3, 12)))
+        assert (dense.rows, dense.cols, dense.subsampling) == (3, 12, 4.0)
+        implicit = MeasurementEnsemble(signs=np.ones(12), selected_rows=np.array([0, 5, 7]))
+        assert (implicit.rows, implicit.cols, implicit.subsampling) == (3, 12, 4.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"signs": np.ones(8)},
+        {"selected_rows": np.arange(4)},
+        {"matrix": np.ones((4, 8)), "signs": np.ones(8), "selected_rows": np.arange(4)},
+    ])
+    def test_exactly_one_representation(self, kwargs):
+        with pytest.raises(ValueError):
+            MeasurementEnsemble(**kwargs)
+
+    def test_rejects_more_rows_than_cols(self):
+        with pytest.raises(ValueError):
+            MeasurementEnsemble(matrix=np.ones((5, 4)))
 
 
 def _columns_by_cos(ens, idx):
@@ -132,7 +165,7 @@ class TestOrthogonalizeRows:
     def test_already_orthogonal_input(self):
         base = generate_subsampled_dct_ensemble(8, 32, 17)
         again = orthogonalize_rows(
-            MeasurementEnsemble(8, 32, "gaussian", matrix=base.matrix.copy()))
+            MeasurementEnsemble(matrix=base.matrix.copy()))
         nptest.assert_allclose(again.matrix @ again.matrix.T, 4.0 * np.eye(8), atol=1e-12)
         diff = _row_space_projector(base.matrix) - _row_space_projector(again.matrix)
         assert np.linalg.norm(diff) < 1e-8
@@ -140,7 +173,7 @@ class TestOrthogonalizeRows:
     def test_rank_deficient_rejected(self):
         mat = np.ones((3, 8))
         with pytest.raises(ValueError):
-            orthogonalize_rows(MeasurementEnsemble(3, 8, "gaussian", matrix=mat))
+            orthogonalize_rows(MeasurementEnsemble(matrix=mat))
 
 
 class TestMeasure:
