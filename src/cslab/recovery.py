@@ -11,11 +11,14 @@ Three estimators:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_model import analyze_vector, basis_column, bin_frequency
+# basis_column is unused here but stays importable: the benchmark's tracer
+# patches recovery.basis_column as well as signal_model.basis_column
+from .signal_model import analyze_vector, basis_column, bin_frequency  # noqa: F401
 
 __all__ = ["RecoveryOutput", "oracle_recover", "cosamp", "bandpass_baseline"]
 
@@ -167,38 +170,45 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
     )
 
 
-def _fold_bin(k: int, ambient_dim: int, n_kept: int, rho: int) -> int | None:
-    """Target bin of basis vector k after decimation by rho, in the size-M
-    basis; None when the decimated basis vector vanishes identically."""
+def _fold(k: int, ambient_dim: int, n_kept: int, rho: int) -> tuple[int, float] | None:
+    """Fold of basis vector k under decimation by rho: the size-M bin q it
+    lands on and the aliasing gain <psi_k[::rho], phi_q>, or None when the
+    decimated basis vector vanishes identically.
+
+    The gain is c * s / sqrt(rho): c = sqrt(2) when a cosine lands on the DC
+    or Nyquist bin, s = -1 when a sine folds from the upper half of the
+    size-M band, and 1 otherwise.
+    """
     M = n_kept
+    unit = 1.0 / math.sqrt(rho)
     f, kind = bin_frequency(k, ambient_dim)
     if kind == "dc":
-        return 0
+        return 0, unit
     if kind == "nyquist":
         # (-1)^(m*rho): constant when rho is even, alternating otherwise
-        return 0 if rho % 2 == 0 else M - 1
+        return (0 if rho % 2 == 0 else M - 1), unit
     g = f % M
     if kind == "cos":
         if g == 0:
-            return 0
+            return 0, math.sqrt(2.0) * unit
         if 2 * g == M:
-            return M - 1
-        return 2 * g - 1 if 2 * g < M else 2 * (M - g) - 1
+            return M - 1, math.sqrt(2.0) * unit
+        return (2 * g - 1 if 2 * g < M else 2 * (M - g) - 1), unit
     # sine: vanishes when it folds onto a purely even bin
     if g == 0 or 2 * g == M:
         return None
-    return 2 * g if 2 * g < M else 2 * (M - g)
+    return (2 * g, unit) if 2 * g < M else (2 * (M - g), -unit)
 
 
 def bandpass_baseline(x: np.ndarray, rho: int, true_support) -> RecoveryOutput:
     """Decimate the Nyquist-rate samples x by rho and read folded bins for a known support.
 
     Each support bin k of the full-size basis aliases onto a single bin of the
-    size-M basis (M = B/rho); the readout divides by the exact aliasing gain
-    (the inner product of the decimated basis vector with the folded basis
-    vector), so a noise-free single tone is recovered exactly.  Raises when
-    two support bins fold onto the same bin or a bin's decimated basis vector
-    vanishes: the components overlap irreversibly and cannot be separated.
+    size-M basis (M = B/rho); the readout divides by the aliasing gain, which
+    is c * s / sqrt(rho) in closed form (see ``_fold``), so a noise-free
+    single tone is recovered exactly.  Raises when two support bins fold onto
+    the same bin or a bin's decimated basis vector vanishes: the components
+    overlap irreversibly and cannot be separated.
     """
     rho = int(rho)
     samples = np.asarray(x, dtype=float)
@@ -212,21 +222,19 @@ def bandpass_baseline(x: np.ndarray, rho: int, true_support) -> RecoveryOutput:
 
     fold = {}
     for k in support:
-        q = _fold_bin(int(k), B, M, rho)
-        if q is None:
+        folded = _fold(int(k), B, M, rho)
+        if folded is None:
             raise ValueError(f"support bin {k} aliases to zero under decimation by {rho}")
+        q, gain = folded
         if q in fold:
             raise ValueError(
-                f"support bins {fold[q]} and {k} alias onto the same bin; decimation is irreversible"
+                f"support bins {fold[q][0]} and {k} alias onto the same bin; decimation is irreversible"
             )
-        fold[q] = int(k)
+        fold[q] = int(k), gain
 
     decimated = samples[::rho]
     folded_coeffs = analyze_vector(decimated)
     coeffs = np.zeros(B)
-    for q, k in fold.items():
-        gain = float(basis_column(B, k)[::rho] @ basis_column(M, q))
-        if abs(gain) < 1e-12:
-            raise ValueError(f"support bin {k} aliases to zero under decimation by {rho}")
+    for q, (k, gain) in fold.items():
         coeffs[k] = folded_coeffs[q] / gain
     return RecoveryOutput(coeffs_hat=coeffs, support_hat=support)

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,14 @@ class TestQuantizationSweep:
             return np.mean([row.msnr_db for row in res.rows])
 
         assert mean_msnr(0.01) < mean_msnr(0.0) - 3.0
+
+    def test_pooled_sweep_leaves_no_process(self):
+        cfg = SweepConfig(ambient_dim=64, band_width=2, rho_list=(1, 2),
+                          isnr_targets_db=(), trials_per_point=2, methods=("oracle",),
+                          master_seed=4, quantizer=QuantizerSweepSpec(base_bits=4))
+        res = run_quantization_sweep(cfg, n_workers=2)
+        assert len(res.rows) == 4
+        assert multiprocessing.active_children() == []
 
 
 class TestAggregate:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cslab import metrics
 from cslab.recovery import (
     GRAM_COND_LIMIT,
+    _fold,
     _gram_solve,
     _lstsq_on_support,
     bandpass_baseline,
@@ -19,7 +20,12 @@ from cslab.sensing import (
     generate_subsampled_dct_ensemble,
     orthogonalize_rows,
 )
-from cslab.signal_model import generate_bandlimited, synthesis_matrix, synthesize_vector
+from cslab.signal_model import (
+    basis_column,
+    generate_bandlimited,
+    synthesis_matrix,
+    synthesize_vector,
+)
 
 
 class TestOracleRecover:
@@ -225,6 +231,25 @@ class TestBandpassBaseline:
                 continue
             out = bandpass_baseline(x, rho, [k])
             nptest.assert_allclose(out.coeffs_hat, alpha, atol=1e-8)
+
+    @pytest.mark.parametrize("B", [15, 16, 24, 64])
+    def test_closed_form_gain_matches_basis_product(self, B):
+        # reference: the decimated basis vector against every size-M basis vector
+        for rho in (d for d in range(1, B + 1) if B % d == 0):
+            M = B // rho
+            psi_m = synthesis_matrix(M)
+            for k in range(B):
+                decimated = basis_column(B, k)[::rho]
+                products = psi_m.T @ decimated
+                folded = _fold(k, B, M, rho)
+                assert (folded is None) == (np.max(np.abs(products)) < 1e-12), (k, rho)
+                if folded is None:
+                    with pytest.raises(ValueError):
+                        bandpass_baseline(synthesize_vector(np.eye(B)[k]), rho, [k])
+                    continue
+                q, gain = folded
+                assert abs(gain - decimated @ basis_column(M, q)) < 1e-13, (k, rho)
+                assert np.max(np.abs(np.delete(products, q)), initial=0.0) < 1e-12, (k, rho)
 
     def test_no_decimation_is_plain_analysis(self):
         sp = generate_bandlimited(16, 4, 5, 3)

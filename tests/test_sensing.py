@@ -106,6 +106,11 @@ class TestMeasurementEnsemble:
         with pytest.raises(ValueError):
             MeasurementEnsemble(matrix=np.ones((5, 4)))
 
+    @pytest.mark.parametrize("rows", [[5, 0, 7], [0, 5, 5]])
+    def test_selected_rows_must_increase(self, rows):
+        with pytest.raises(ValueError):
+            MeasurementEnsemble(signs=np.ones(12), selected_rows=np.array(rows))
+
 
 def _columns_by_cos(ens, idx):
     """Reference block: one cos per entry of the sign-flipped, scaled DCT-II."""
@@ -117,7 +122,43 @@ def _columns_by_cos(ens, idx):
     return np.sqrt(ens.subsampling) * ens._signs[idx][None, :] * block
 
 
+def _columns_by_int64_phase(ens, idx):
+    """Reference block: the same table gather with an int64 phase."""
+    B = ens.cols
+    phase = np.multiply.outer(ens._selected.astype(np.int64), 2 * np.asarray(idx, dtype=np.int64) + 1)
+    block = _scaled_cosine_table(B)[phase % (4 * B)]
+    block[ens._selected == 0, :] = 1.0 / np.sqrt(B)
+    block *= np.sqrt(ens.subsampling) * ens._signs[idx]
+    return block
+
+
 class TestColumnsCosineTable:
+    @pytest.mark.parametrize("B, n_rows", [(8192, 8192), (8192, 4096), (8192, 256),
+                                           (1024, 1024), (1024, 64), (37, 37), (37, 5)])
+    def test_int32_phase_bit_identical_to_int64(self, B, n_rows):
+        rng = np.random.default_rng(B + n_rows)
+        drawn = generate_subsampled_dct_ensemble(n_rows, B, B * n_rows)
+        # the same signs with DCT row 0 forced into the selected rows
+        with_row_0 = MeasurementEnsemble(signs=drawn._signs, selected_rows=np.union1d(
+            [0], rng.choice(np.arange(1, B), n_rows - 1, replace=False)))
+        assert with_row_0._selected[0] == 0
+        for ens in (drawn, with_row_0):
+            for idx in ([0, B - 1], rng.choice(B, min(B, 39), replace=False), np.arange(B)[::7]):
+                assert ens.columns(idx).tobytes() == _columns_by_int64_phase(ens, idx).tobytes()
+
+    @pytest.mark.parametrize("B", [32768, 32769])
+    def test_int64_phase_from_b_32768(self, B):
+        # 32768 is the first B with 2 * B * B >= 2**31, where the phase is
+        # reduced in int64; at 32769, row B - 1 times column B - 1 overflows int32
+        rng = np.random.default_rng(B)
+        signs = 2.0 * rng.integers(0, 2, size=B) - 1.0
+        ens = MeasurementEnsemble(signs=signs, selected_rows=np.union1d(
+            [0, B - 1], rng.choice(B, B // 2, replace=False)))
+        idx = np.concatenate([[0, B - 1], rng.choice(np.arange(1, B - 1), 4, replace=False)])
+        block = ens.columns(idx)
+        nptest.assert_allclose(block, _columns_by_cos(ens, idx), rtol=0, atol=1e-12)
+        assert block.tobytes() == _columns_by_int64_phase(ens, idx).tobytes()
+
     @pytest.mark.parametrize("n_rows", [8192, 1024, 32])
     def test_matches_cos_formula(self, n_rows):
         B = 8192
