@@ -4,7 +4,11 @@ Subcommands: noise-folding, quantizer-sweep, dynamic-range, rip-estimate,
 design-rules.  Sweeps read a JSON config (see README for the schema), accept
 --seed / --trials overrides, and persist rows, summary, plot data, and a run
 manifest into --out.  The CSLAB_THREADS environment variable caps the worker
-count (0 = one worker per CPU; unset = serial).
+count (0 = one worker per CPU; unset = serial).  Sweeps run numpy's OpenBLAS
+on one thread, serially and in every worker: a second BLAS thread doubled the
+quantization sweep's CPU time without speeding it up, and made two workers
+slower than one.  A user-set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
+respected.
 """
 
 from __future__ import annotations

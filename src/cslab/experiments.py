@@ -7,15 +7,26 @@ scheduling.  Every trial derives its own seed from
 (master_seed, point_index, trial_index) through a splitmix64 finalizer, work
 is split into fixed-size blocks that do not depend on the worker count, and
 blocks are reassembled in sorted key order.
+
+A sweep runs numpy's OpenBLAS on one thread, serially and in every worker:
+its products are too small for a second BLAS thread to pay, and pooled
+workers would oversubscribe the cores.  A user-set OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS is left in force.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import metrics, quantization, recovery, sensing, signal_model, theory
 
@@ -151,6 +162,7 @@ class ExperimentResult:
     kind: str  # "noise_folding" or "quantization"
     config: SweepConfig
     rows: list = field(default_factory=list)
+    environment: dict = field(default_factory=dict)  # runtime of the sweep; not row data
 
 
 @dataclass(frozen=True)
@@ -252,6 +264,14 @@ def _run_block(args) -> tuple:
     return (point_index, trial_lo), rows
 
 
+def _affinity_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def _resolve_workers(n_workers: int | None) -> int:
     """Worker count for a sweep: None means serial, 0 one worker per CPU this
     process may run on."""
@@ -259,11 +279,62 @@ def _resolve_workers(n_workers: int | None) -> int:
         n_workers = 1
     n_workers = int(n_workers)
     if n_workers == 0:
-        try:
-            n_workers = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity API on this platform
-            n_workers = os.cpu_count() or 1
+        n_workers = _affinity_cpus()
     return max(1, n_workers)
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@functools.cache
+def _openblas():
+    """``(get_num_threads, set_num_threads)`` of the OpenBLAS bundled with the
+    numpy wheel, or None when there is none."""
+    pkg = Path(np.__file__).parent
+    libs = sorted([*pkg.parent.glob("numpy.libs/*openblas*"), *pkg.glob(".dylibs/*openblas*")])
+    for lib in libs:
+        try:
+            dll = ctypes.CDLL(str(lib))  # the handle numpy holds when it is loaded already
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):  # numpy >= 2.0 and 1.x wheels
+            try:
+                get = getattr(dll, f"{prefix}get_num_threads64_")
+                set_ = getattr(dll, f"{prefix}set_num_threads64_")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _cap_blas_threads() -> int | None:
+    """Put numpy's OpenBLAS on one thread and return the count it had.
+
+    Changes nothing and returns None when no OpenBLAS was found or the user
+    set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS.  Also the pool initializer.
+    """
+    blas = _openblas()
+    if blas is None or any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
+        return None
+    before = blas[0]()
+    blas[1](1)
+    return before
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread and restore the
+    earlier count on exit.  Yields the count in effect, None when no OpenBLAS
+    was found."""
+    before = _cap_blas_threads()
+    blas = _openblas()
+    try:
+        yield None if blas is None else blas[0]()
+    finally:
+        if before is not None:
+            blas[1](before)
 
 
 def _run_sweep(cfg: SweepConfig, kind: str, n_workers: int | None) -> ExperimentResult:
@@ -273,17 +344,26 @@ def _run_sweep(cfg: SweepConfig, kind: str, n_workers: int | None) -> Experiment
             hi = min(lo + _TRIAL_BLOCK, cfg.trials_per_point)
             blocks.append((cfg, point_index, rho, isnr_target, lo, hi))
     workers = _resolve_workers(n_workers)
-    if workers == 1:
-        keyed = dict(_run_block(b) for b in blocks)
-    else:
-        keyed = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, rows in pool.map(_run_block, blocks):
-                keyed[key] = rows
+    with _one_blas_thread() as blas_threads:
+        if workers == 1:
+            keyed = dict(_run_block(b) for b in blocks)
+        else:
+            keyed = {}
+            with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads) as pool:
+                for key, rows in pool.map(_run_block, blocks):
+                    keyed[key] = rows
     rows = []
     for key in sorted(keyed):
         rows.extend(keyed[key])
-    return ExperimentResult(kind=kind, config=cfg, rows=rows)
+    environment = {
+        "workers": workers,
+        "blas_threads": blas_threads,
+        "affinity_cpus": _affinity_cpus(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+    return ExperimentResult(kind=kind, config=cfg, rows=rows, environment=environment)
 
 
 def run_noise_folding_sweep(cfg: SweepConfig, n_workers: int | None = 1) -> ExperimentResult:

@@ -194,9 +194,11 @@ def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
     manifest.  Returns the written paths.
 
     Rows, summary, and plot data are byte-deterministic for identical
-    (result, fmt); the manifest carries a wall-clock timestamp.  Each file is
-    written to a temporary file in ``out_dir`` and renamed into place, so a
-    failed run never leaves a partly written file.
+    (result, fmt); the manifest carries a wall-clock timestamp and the
+    sweep's runtime environment (worker count, BLAS threads, affinity CPUs,
+    library versions).  Each file is written to a temporary file in
+    ``out_dir`` and renamed into place, so a failed run never leaves a partly
+    written file.
     """
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
@@ -240,6 +242,7 @@ def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
         "tool_version": __version__,
         "master_seed": result.config.master_seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "environment": result.environment,
         "output_paths": {k: str(v) for k, v in paths.items()},
     }
     manifest_path = out / "manifest.json"

@@ -26,7 +26,6 @@ __all__ = [
     "measurement_sqnr_lower_bound",
     "par_transfer_bound",
     "cs_equivalent_snr_target",
-    "expected_sqnr_uniform_model_db",
 ]
 
 DEFAULT_KAPPA0 = 0.5
@@ -176,8 +175,3 @@ def cs_equivalent_snr_target(
     _check_delta(delta)
     return (1.0 - delta) / ((1.0 + delta) * kappa1**2) * rho * (x_peak / y_peak) ** 2
 
-
-def expected_sqnr_uniform_model_db(bits: int, par_x: float) -> float:
-    """Informational only: mean SQNR under a uniform quantization-noise model,
-    6.02 b - 20 log10(par) + 4.77 dB.  Not an asserted bound."""
-    return 6.02 * bits - 20.0 * math.log10(par_x) + 4.77

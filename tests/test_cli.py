@@ -1,9 +1,12 @@
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
-from cslab import __version__
+from cslab import __version__, experiments
 from cslab.cli import main
 from cslab.experiments import ExperimentResult, SweepConfig, TrialRow, aggregate
 from cslab.results_io import (
@@ -221,6 +224,8 @@ class TestCliMain:
                "methods": ["oracle"]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
+        for var in experiments._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
         outputs = []
         for run, workers in (("a", "1"), ("b", "2")):
             monkeypatch.setenv("CSLAB_THREADS", workers)
@@ -228,7 +233,17 @@ class TestCliMain:
             code = main(["noise-folding", "--config", str(path), "--seed", "9",
                          "--out", str(out_dir)])
             assert code == 0
-            outputs.append((out_dir / "rows.csv").read_bytes())
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("rows.csv", "summary.json", "plotdata.csv")])
+            environment = json.loads((out_dir / "manifest.json").read_text())["environment"]
+            assert environment == {
+                "workers": int(workers),
+                "blas_threads": None if experiments._openblas() is None else 1,
+                "affinity_cpus": experiments._affinity_cpus(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            }
         assert outputs[0] == outputs[1]
 
     def test_trials_override(self, tmp_path, capsys):

@@ -190,6 +190,3 @@ class TestQuantizationLinkBounds:
                 checked += 1
         assert checked > 0
 
-    def test_uniform_model_formula_is_informational(self):
-        val = theory.expected_sqnr_uniform_model_db(8, 2.0)
-        assert val == pytest.approx(6.02 * 8 - 20 * math.log10(2.0) + 4.77)
