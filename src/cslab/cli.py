@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: noise-folding, quantizer-sweep, dynamic-range, rip-estimate,
-design-rules.  Sweeps read a JSON config (see README for the schema), accept
---seed / --trials overrides, and persist rows, summary, plot data, and a run
-manifest into --out.  The CSLAB_THREADS environment variable caps the worker
-count (0 = one worker per CPU; unset = serial).  Sweeps run numpy's OpenBLAS
-on one thread, serially and in every worker: a second BLAS thread doubled the
-quantization sweep's CPU time without speeding it up, and made two workers
-slower than one.  A user-set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
-respected.
+design-rules.  noise-folding and quantizer-sweep are one sweep under two
+names: the config alone decides which of signal noise, measurement noise and
+quantization apply.  Sweeps read a JSON config (see README for the schema),
+accept --seed / --trials overrides, and persist rows, summary, plot data,
+and a run manifest into --out.  The CSLAB_THREADS environment variable caps
+the worker count (0 = one worker per CPU; unset = serial).  Sweeps run
+numpy's OpenBLAS on one thread, serially and in every worker: a second BLAS
+thread doubled the quantization sweep's CPU time without speeding it up, and
+made two workers slower than one.  A user-set OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS is respected.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from . import quantization, recovery, sensing, signal_model, theory
-from .experiments import run_noise_folding_sweep, run_quantization_sweep
+from .experiments import run_sweep
 from .metrics import rsnr
 from .results_io import (
     ConfigDivisibilityError,
@@ -65,8 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in [
-        ("noise-folding", "run the signal-noise subsampling sweep"),
-        ("quantizer-sweep", "run the noise-free quantized-measurement sweep"),
+        ("noise-folding", "run a sweep config (same sweep as quantizer-sweep)"),
+        ("quantizer-sweep", "run a sweep config (same sweep as noise-folding)"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON sweep config")
@@ -108,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_sweep(args, kind: str) -> int:
+def _cmd_sweep(args) -> int:
     data = load_config_dict(args.config)
     if args.seed is not None:
         data["master_seed"] = args.seed
@@ -117,10 +119,7 @@ def _cmd_sweep(args, kind: str) -> int:
     cfg = build_sweep_config(data)
     workers = _workers_from_env()
     Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the sweep
-    if kind == "noise_folding":
-        result = run_noise_folding_sweep(cfg, n_workers=workers)
-    else:
-        result = run_quantization_sweep(cfg, n_workers=workers)
+    result = run_sweep(cfg, n_workers=workers)
     paths = write_results(result, args.out, fmt=args.format, config_dict=data)
     summary = json.loads(Path(paths["summary"]).read_text())
     for point in summary["points"]:
@@ -227,10 +226,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
     try:
-        if args.command == "noise-folding":
-            return _cmd_sweep(args, "noise_folding")
-        if args.command == "quantizer-sweep":
-            return _cmd_sweep(args, "quantization")
+        if args.command in ("noise-folding", "quantizer-sweep"):
+            return _cmd_sweep(args)
         if args.command == "dynamic-range":
             return _cmd_dynamic_range(args)
         if args.command == "rip-estimate":

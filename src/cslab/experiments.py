@@ -1,5 +1,11 @@
-"""Monte Carlo harness: noise-folding and quantization sweeps plus the
+"""Monte Carlo harness: one sweep over the acquisition chain plus the
 closed-form bracket containment campaign.
+
+A sweep's points are rho x ISNR target, or rho alone when the config has no
+targets.  Signal noise (an ISNR target), measurement noise
+(``measurement_noise_var``) and quantization (``quantizer``) each apply
+independently when set, so the noise-folding study, the quantization study
+and their combination are configs of the same sweep.
 
 Determinism contract: given an identical config (including master_seed) the
 emitted rows are identical bit for bit, regardless of worker count or
@@ -40,8 +46,7 @@ __all__ = [
     "PointSummary",
     "ExperimentResult",
     "derive_trial_seed",
-    "run_noise_folding_sweep",
-    "run_quantization_sweep",
+    "run_sweep",
     "run_bound_containment",
     "aggregate",
 ]
@@ -81,7 +86,7 @@ def derive_trial_seed(master_seed: int, point_index: int, trial_index: int) -> i
 
 @dataclass(frozen=True)
 class QuantizerSweepSpec:
-    """Quantizer policy for the quantization sweep.
+    """Quantizer policy of a sweep.
 
     ``base_bits`` anchors the bit-depth trend at rho = 1; measurements are
     scaled to the full quantizer range before quantization.
@@ -104,7 +109,7 @@ class SweepConfig:
     ambient_dim: int = 8192
     band_width: int = 4
     rho_list: tuple = (2, 4, 8, 16, 32)
-    isnr_targets_db: tuple = (60.0,)
+    isnr_targets_db: tuple = ()
     trials_per_point: int = 200
     methods: tuple = ("oracle", "cosamp", "bandpass")
     master_seed: int = 0
@@ -137,6 +142,9 @@ class SweepConfig:
             raise ValueError(f"ensemble must be one of {ENSEMBLES}")
         if self.measurement_noise_var < 0:
             raise ValueError("measurement_noise_var must be nonnegative")
+        if self.quantizer is not None and "bandpass" in self.methods:
+            raise ValueError("bandpass reads the unquantized samples; "
+                             "drop it from methods or remove the quantizer")
 
 
 @dataclass
@@ -159,7 +167,6 @@ class TrialRow:
 class ExperimentResult:
     """All rows of a sweep plus the config that produced them."""
 
-    kind: str  # "noise_folding" or "quantization"
     config: SweepConfig
     rows: list = field(default_factory=list)
     environment: dict = field(default_factory=dict)  # runtime of the sweep; not row data
@@ -181,12 +188,6 @@ class PointSummary:
     mean_rsnr_db: float | None
     support_exact_rate: float
     bits: int | None
-
-
-def _sweep_points(cfg: SweepConfig, kind: str):
-    if kind == "quantization":
-        return [(rho, None) for rho in cfg.rho_list]
-    return [(rho, isnr) for rho in cfg.rho_list for isnr in cfg.isnr_targets_db]
 
 
 def _fresh_ensemble(cfg: SweepConfig, n_measurements: int, seed) -> sensing.MeasurementEnsemble:
@@ -337,9 +338,19 @@ def _one_blas_thread():
             blas[1](before)
 
 
-def _run_sweep(cfg: SweepConfig, kind: str, n_workers: int | None) -> ExperimentResult:
+def run_sweep(cfg: SweepConfig, n_workers: int | None = 1) -> ExperimentResult:
+    """Sweep recovery SNR against subsampling.
+
+    The points are rho x ISNR target, or rho alone when there are no targets;
+    every trial runs the acquisition chain of ``_trial``.  With a quantizer
+    the bit depth per point follows the rate/resolution trend anchored at
+    ``base_bits`` for rho = 1 (rounded to the nearest integer, floor 1).  A
+    bandpass alias collision or a rank-deficient oracle solve marks the trial
+    failed rather than aborting the sweep.
+    """
+    points = [(rho, isnr) for rho in cfg.rho_list for isnr in cfg.isnr_targets_db or (None,)]
     blocks = []
-    for point_index, (rho, isnr_target) in enumerate(_sweep_points(cfg, kind)):
+    for point_index, (rho, isnr_target) in enumerate(points):
         for lo in range(0, cfg.trials_per_point, _TRIAL_BLOCK):
             hi = min(lo + _TRIAL_BLOCK, cfg.trials_per_point)
             blocks.append((cfg, point_index, rho, isnr_target, lo, hi))
@@ -363,45 +374,14 @@ def _run_sweep(cfg: SweepConfig, kind: str, n_workers: int | None) -> Experiment
         "numpy": np.__version__,
         "scipy": scipy.__version__,
     }
-    return ExperimentResult(kind=kind, config=cfg, rows=rows, environment=environment)
+    return ExperimentResult(config=cfg, rows=rows, environment=environment)
 
 
-def run_noise_folding_sweep(cfg: SweepConfig, n_workers: int | None = 1) -> ExperimentResult:
-    """Sweep recovery SNR against subsampling under white signal noise.
-
-    Per trial: draw a band-limited signal, add signal noise hitting the ISNR
-    target, acquire with a fresh orthogonal-row ensemble (oracle / cosamp) or
-    decimate the synthesized samples (bandpass), recover, and record the
-    realized SNRs.  A bandpass alias collision or a rank-deficient oracle
-    solve marks the trial failed rather than aborting the sweep.
-    """
-    if cfg.quantizer is not None:
-        raise ValueError("noise-folding sweep is a noise-only study; remove the quantizer")
-    if not cfg.isnr_targets_db:
-        raise ValueError("noise-folding sweep needs at least one ISNR target")
-    return _run_sweep(cfg, "noise_folding", n_workers)
-
-
-def run_quantization_sweep(cfg: SweepConfig, n_workers: int | None = 1) -> ExperimentResult:
-    """Sweep recovery SNR against subsampling for quantized acquisition
-    without signal noise.
-
-    The bit depth per point follows the rate/resolution trend anchored at
-    ``base_bits`` for rho = 1 (rounded to the nearest integer, floor 1); each
-    trial's measurements, including any ``measurement_noise_var`` noise, are
-    scaled to the full quantizer range before quantization.
-    """
-    if cfg.quantizer is None:
-        raise ValueError("quantization sweep requires a quantizer spec")
-    if "bandpass" in cfg.methods:
-        raise ValueError("the quantization sweep supports oracle and cosamp only")
-    return _run_sweep(cfg, "quantization", n_workers)
-
-
-def aggregate(result: ExperimentResult) -> list[PointSummary]:
-    """Per-point summaries (linear means converted to dB, failures counted)."""
+def aggregate(rows) -> list[PointSummary]:
+    """Per-point summaries of sweep rows (linear means converted to dB,
+    failures counted)."""
     groups: dict = {}
-    for row in result.rows:
+    for row in rows:
         groups.setdefault((row.rho, row.isnr_target_db, row.method), []).append(row)
 
     def _mean_db(values):
@@ -412,20 +392,20 @@ def aggregate(result: ExperimentResult) -> list[PointSummary]:
 
     summaries = []
     for key in sorted(groups, key=lambda k: (k[0], -1.0 if k[1] is None else k[1], k[2])):
-        rows = groups[key]
+        group = groups[key]
         rho, isnr_target, method = key
-        failed = sum(1 for r in rows if r.rsnr_db is None)
-        bits_values = {r.bits for r in rows}
+        failed = sum(1 for r in group if r.rsnr_db is None)
+        bits_values = {r.bits for r in group}
         summaries.append(PointSummary(
             rho=rho,
             isnr_target_db=isnr_target,
             method=method,
-            n_trials=len(rows),
+            n_trials=len(group),
             n_failed=failed,
-            mean_isnr_db=_mean_db([r.isnr_db for r in rows]),
-            mean_msnr_db=_mean_db([r.msnr_db for r in rows]),
-            mean_rsnr_db=_mean_db([r.rsnr_db for r in rows]),
-            support_exact_rate=float(np.mean([r.support_exact for r in rows])),
+            mean_isnr_db=_mean_db([r.isnr_db for r in group]),
+            mean_msnr_db=_mean_db([r.msnr_db for r in group]),
+            mean_rsnr_db=_mean_db([r.rsnr_db for r in group]),
+            support_exact_rate=float(np.mean([r.support_exact for r in group])),
             bits=bits_values.pop() if len(bits_values) == 1 else None,
         ))
     return summaries

@@ -218,11 +218,10 @@ def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
 
     # aggregate from the serialized precision so persisted rows reproduce it
     rounded = [_fields_to_row(line.split(",")) for line in csv_text.splitlines()[1:]]
-    summaries = aggregate(ExperimentResult(kind=result.kind, config=result.config, rows=rounded))
+    summaries = aggregate(rounded)
     summary_path = out / "summary.json"
     _write_atomic(summary_path, json.dumps(
-        {"kind": result.kind, "points": [asdict(s) for s in summaries]},
-        indent=1) + "\n")
+        {"points": [asdict(s) for s in summaries]}, indent=1) + "\n")
     paths["summary"] = summary_path
 
     plot_lines = ["method,isnr_target_db,log2_rho,mean_rsnr_db"]

@@ -24,7 +24,6 @@ __all__ = [
     "design_rules",
     "rsnr_from_measurement_sqnr_bound",
     "measurement_sqnr_lower_bound",
-    "par_transfer_bound",
     "cs_equivalent_snr_target",
 ]
 
@@ -151,15 +150,6 @@ def measurement_sqnr_lower_bound(
     _check_delta(delta)
     levels = 2.0**bits  # 2G/Delta
     return (1.0 - delta) * rho * (x_peak / y_peak) ** 2 * levels**2 / par_x**2
-
-
-def par_transfer_bound(par_x: float, n_measurements: int) -> tuple[float, float]:
-    """High-probability lower bound on rho * x_peak^2 / y_peak^2 for i.i.d.
-    sub-Gaussian ensembles: (par_x^2 / (4 ln M), 1 - 2/M)."""
-    M = int(n_measurements)
-    if M < 2:
-        raise ValueError("need at least 2 measurements")
-    return par_x**2 / (4.0 * math.log(M)), 1.0 - 2.0 / M
 
 
 def cs_equivalent_snr_target(

@@ -7,7 +7,9 @@ Tolerances are pinned here, not computed; geometry notes:
   (B=8192, W=4, 200 trials/point);
 * criterion 6 keeps B=8192 with a 13-bin band (rho_max = 8192/13 = 630), a
   narrowband regime where blind recovery collapses near log2(rho) ~ 5.7 and
-  the bit-depth trend produces the target gains.
+  the bit-depth trend produces the target gains;
+* criterion 11 keeps the criterion-1 band (B=8192, W=4) over rho 2..64 with
+  measurement noise of variance 1e-4 and no signal noise.
 """
 
 import itertools
@@ -23,8 +25,7 @@ from cslab.experiments import (
     SweepConfig,
     aggregate,
     run_bound_containment,
-    run_noise_folding_sweep,
-    run_quantization_sweep,
+    run_sweep,
 )
 from cslab.quantization import (
     QuantizerSpec,
@@ -56,7 +57,7 @@ def _criterion1_config() -> SweepConfig:
 
 def test_criterion_1_noise_folding_slope():
     started = time.perf_counter()
-    result = run_noise_folding_sweep(_criterion1_config(), n_workers=2)
+    result = run_sweep(_criterion1_config(), n_workers=2)
     elapsed = time.perf_counter() - started
     losses = {}
     for row in result.rows:
@@ -173,7 +174,7 @@ def _gain_at_four_octaves(base_bits: int):
         master_seed=MASTER_SEED,
         quantizer=QuantizerSweepSpec(base_bits=base_bits),
     )
-    summaries = aggregate(run_quantization_sweep(cfg, n_workers=2))
+    summaries = aggregate(run_sweep(cfg, n_workers=2).rows)
     oracle = {s.rho: s.mean_rsnr_db for s in summaries if s.method == "oracle"}
     cosamp_curve = {s.rho: s.mean_rsnr_db for s in summaries if s.method == "cosamp"}
     return oracle, cosamp_curve
@@ -259,7 +260,7 @@ def test_criterion_8_spectral_property_suites():
 def test_criterion_9_determinism_across_workers(tmp_path):
     outputs = {}
     for workers in (1, 4, 8):
-        result = run_noise_folding_sweep(_criterion1_config(), n_workers=workers)
+        result = run_sweep(_criterion1_config(), n_workers=workers)
         paths = write_results(result, tmp_path / f"w{workers}", fmt="csv",
                               config_dict={"criterion": 1})
         outputs[workers] = (paths["rows"].read_bytes(), paths["summary"].read_bytes(),
@@ -269,4 +270,31 @@ def test_criterion_9_determinism_across_workers(tmp_path):
         "criterion 9 (determinism)",
         ok,
         "rows/summary/plot outputs byte-identical under 1, 4, and 8 workers",
+    )
+
+
+def test_criterion_11_measurement_noise_does_not_fold():
+    # white measurement noise and no signal noise: MSNR rises 3 dB/octave as
+    # the fixed-variance noise spreads over fewer measurements, RSNR/MSNR = M/W
+    # falls by as much, so the oracle RSNR stays flat
+    cfg = SweepConfig(
+        ambient_dim=8192,
+        band_width=4,
+        rho_list=(2, 4, 8, 16, 32, 64),
+        isnr_targets_db=(),
+        trials_per_point=200,
+        methods=("oracle",),
+        master_seed=MASTER_SEED,
+        measurement_noise_var=1e-4,
+    )
+    summaries = aggregate(run_sweep(cfg, n_workers=2).rows)
+    octaves = np.log2([s.rho for s in summaries])
+    rsnr_slope = float(np.polyfit(octaves, [s.mean_rsnr_db for s in summaries], 1)[0])
+    msnr_slope = float(np.polyfit(octaves, [s.mean_msnr_db for s in summaries], 1)[0])
+    ok = abs(rsnr_slope) <= 0.5 and abs(msnr_slope - 3.01) <= 0.5
+    _report(
+        "criterion 11 (measurement noise does not fold)",
+        ok,
+        f"RSNR slope={rsnr_slope:.3f} dB/octave (0 +- 0.5), "
+        f"MSNR slope={msnr_slope:.3f} dB/octave (3.01 +- 0.5)",
     )

@@ -50,6 +50,7 @@ class TestParseConfig:
         assert cfg.trials_per_point == 200
         assert cfg.ensemble == "subsampled_dct"
         assert cfg.methods == ("oracle", "cosamp", "bandpass")
+        assert cfg.isnr_targets_db == ()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigFileError):
@@ -94,7 +95,7 @@ def _tiny_result():
         TrialRow(2, 40.0, "oracle", 0, 111, 41.234567, 15.5, 38.7654321, True, None),
         TrialRow(2, 40.0, "oracle", 1, 222, 39.9, None, None, False, None),
     ]
-    return ExperimentResult(kind="noise_folding", config=cfg, rows=rows)
+    return ExperimentResult(config=cfg, rows=rows)
 
 
 class TestWriteResults:
@@ -133,10 +134,7 @@ class TestWriteResults:
 
     def test_summary_recomputable_from_persisted_rows(self, tmp_path):
         paths = write_results(_tiny_result(), tmp_path, "csv")
-        rows = read_rows_csv(paths["rows"])
-        res = _tiny_result()
-        res.rows = rows
-        recomputed = aggregate(res)
+        recomputed = aggregate(read_rows_csv(paths["rows"]))
         stored = json.loads(Path(paths["summary"]).read_text())["points"]
         assert len(stored) == len(recomputed) == 1
         assert stored[0]["mean_rsnr_db"] == recomputed[0].mean_rsnr_db
@@ -204,11 +202,21 @@ class TestCliMain:
         assert main(["noise-folding", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "oracle" in capsys.readouterr().err
 
+    def test_bandpass_with_quantizer_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"ambient_dim": 64, "band_width": 2, "rho_list": [2],
+                                    "methods": ["oracle", "bandpass"],
+                                    "quantizer": {"base_bits": 4}}))
+        out_dir = tmp_path / "o"
+        assert main(["quantizer-sweep", "--config", str(path), "--out", str(out_dir)]) == 3
+        assert "bandpass" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unusable_out_fails_before_sweep(self, tmp_path, capsys, monkeypatch):
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran")
 
-        monkeypatch.setattr("cslab.cli.run_noise_folding_sweep", no_sweep)
+        monkeypatch.setattr("cslab.cli.run_sweep", no_sweep)
         blocker = tmp_path / "plain_file"
         blocker.write_text("")
         code = main(["noise-folding", "--config", str(REPO / "configs" / "noise_folding.json"),
@@ -281,6 +289,31 @@ class TestCliMain:
         rows = read_rows_csv(out_dir / "rows.csv")
         bits = {r.rho: r.bits for r in rows}
         assert bits == {1: 4, 2: 5}  # anchor, then one octave along the trend
+
+    def test_quantizer_config_without_targets_has_no_signal_noise(self, tmp_path, capsys):
+        cfg = {"ambient_dim": 128, "band_width": 2, "rho_list": [1, 2], "trials_per_point": 3,
+               "methods": ["oracle"], "quantizer": {"base_bits": 4}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["quantizer-sweep", "--config", str(path), "--out", str(out_dir)]) == 0
+        rows = read_rows_csv(out_dir / "rows.csv")
+        assert len(rows) == 6
+        assert all(r.isnr_target_db is None and r.isnr_db is None for r in rows)
+
+    def test_both_sweep_subcommands_write_identical_outputs(self, tmp_path, capsys):
+        cfg = {"ambient_dim": 128, "band_width": 2, "rho_list": [1, 2],
+               "isnr_targets_db": [40.0], "trials_per_point": 3, "methods": ["oracle", "cosamp"],
+               "quantizer": {"base_bits": 4}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        outputs = []
+        for command in ("noise-folding", "quantizer-sweep"):
+            out_dir = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out_dir)]) == 0
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("rows.csv", "summary.json", "plotdata.csv")])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("argv", [
         ["dynamic-range", "--bits", "8", "--target-snr", "100", "--ambient-dim", "64",

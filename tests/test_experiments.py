@@ -13,8 +13,7 @@ from cslab.experiments import (
     aggregate,
     derive_trial_seed,
     run_bound_containment,
-    run_noise_folding_sweep,
-    run_quantization_sweep,
+    run_sweep,
 )
 
 
@@ -73,18 +72,11 @@ class TestSweepConfig:
         SweepConfig(ambient_dim=64, band_width=4, rho_list=(2, 32), methods=("cosamp",))
 
     def test_quantizer_guardrails(self):
-        cfg = SweepConfig(ambient_dim=64, band_width=2, rho_list=(2,),
-                          trials_per_point=1, quantizer=QuantizerSweepSpec(base_bits=4))
-        with pytest.raises(ValueError):
-            run_noise_folding_sweep(cfg)
-        plain = SweepConfig(ambient_dim=64, band_width=2, rho_list=(2,), trials_per_point=1)
-        with pytest.raises(ValueError):
-            run_quantization_sweep(plain)
-        bandpass_cfg = SweepConfig(ambient_dim=64, band_width=2, rho_list=(2,),
-                                   trials_per_point=1, methods=("oracle", "bandpass"),
-                                   quantizer=QuantizerSweepSpec(base_bits=4))
-        with pytest.raises(ValueError):
-            run_quantization_sweep(bandpass_cfg)
+        # bandpass reads the unquantized samples, so it cannot run with a quantizer
+        with pytest.raises(ValueError, match="bandpass"):
+            SweepConfig(ambient_dim=64, band_width=2, rho_list=(2,), trials_per_point=1,
+                        methods=("oracle", "bandpass"),
+                        quantizer=QuantizerSweepSpec(base_bits=4))
 
 
 def _small_cfg(**overrides):
@@ -96,7 +88,7 @@ def _small_cfg(**overrides):
 
 class TestNoiseFoldingSweep:
     def test_row_schema(self):
-        res = run_noise_folding_sweep(_small_cfg(trials_per_point=3))
+        res = run_sweep(_small_cfg(trials_per_point=3))
         assert len(res.rows) == 2 * 3 * 3
         row = res.rows[0]
         assert row.method in ("oracle", "cosamp", "bandpass")
@@ -104,14 +96,14 @@ class TestNoiseFoldingSweep:
         assert row.bits is None
 
     def test_identical_results_across_worker_counts(self):
-        a = run_noise_folding_sweep(_small_cfg(), n_workers=1)
-        b = run_noise_folding_sweep(_small_cfg(), n_workers=2)
+        a = run_sweep(_small_cfg(), n_workers=1)
+        b = run_sweep(_small_cfg(), n_workers=2)
         assert a.rows == b.rows
 
     def test_no_subsampling_keeps_input_snr(self):
         cfg = _small_cfg(ambient_dim=256, band_width=4, rho_list=(1,),
                          methods=("oracle",), trials_per_point=100)
-        res = run_noise_folding_sweep(cfg)
+        res = run_sweep(cfg)
         diffs = [r.isnr_db - r.rsnr_db for r in res.rows]
         assert abs(np.mean(diffs)) < 0.5
 
@@ -119,8 +111,8 @@ class TestNoiseFoldingSweep:
         # M = 8 with a 4-bin band: folds collide often
         cfg = _small_cfg(ambient_dim=64, band_width=4, rho_list=(8,),
                          methods=("bandpass",), trials_per_point=200)
-        res = run_noise_folding_sweep(cfg)
-        summary = aggregate(res)[0]
+        res = run_sweep(cfg)
+        summary = aggregate(res.rows)[0]
         assert summary.n_failed > 0
         failed_rows = [r for r in res.rows if r.rsnr_db is None]
         assert all(not r.support_exact for r in failed_rows)
@@ -137,17 +129,17 @@ class TestNoiseFoldingSweep:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(recovery, "oracle_recover", fail_third_call)
-        res = run_noise_folding_sweep(_small_cfg(trials_per_point=4, methods=("oracle",)))
+        res = run_sweep(_small_cfg(trials_per_point=4, methods=("oracle",)))
         assert len(res.rows) == 8
         failed = [r for r in res.rows if r.rsnr_db is None]
         assert [(r.rho, r.trial, r.support_exact) for r in failed] == [(2, 2, False)]
-        assert [s.n_failed for s in aggregate(res)] == [1, 0]
+        assert [s.n_failed for s in aggregate(res.rows)] == [1, 0]
 
     def test_oracle_tracks_bandpass(self):
         # mean-dB curves: stable under the heavy-tailed per-trial linear ratios
         cfg = _small_cfg(ambient_dim=512, band_width=4, rho_list=(2, 4, 8),
                          trials_per_point=150, methods=("oracle", "bandpass"))
-        res = run_noise_folding_sweep(cfg, n_workers=2)
+        res = run_sweep(cfg, n_workers=2)
         curves = {}
         for r in res.rows:
             if r.rsnr_db is not None:
@@ -159,7 +151,7 @@ class TestNoiseFoldingSweep:
     def test_gaussian_ensemble_path(self):
         cfg = _small_cfg(ambient_dim=128, band_width=2, rho_list=(4,),
                          methods=("oracle",), trials_per_point=20, ensemble="gaussian")
-        res = run_noise_folding_sweep(cfg)
+        res = run_sweep(cfg)
         assert len(res.rows) == 20
 
     def test_cosamp_tracks_oracle_then_collapses(self):
@@ -168,7 +160,7 @@ class TestNoiseFoldingSweep:
         cfg = SweepConfig(ambient_dim=2560, band_width=4, rho_list=(8, 32, 128),
                           isnr_targets_db=(60.0,), trials_per_point=30,
                           methods=("oracle", "cosamp"), master_seed=3)
-        summaries = aggregate(run_noise_folding_sweep(cfg, n_workers=2))
+        summaries = aggregate(run_sweep(cfg, n_workers=2).rows)
         oracle = {s.rho: s.mean_rsnr_db for s in summaries if s.method == "oracle"}
         cosamp = {s.rho: s.mean_rsnr_db for s in summaries if s.method == "cosamp"}
         for rho in (8, 32):
@@ -182,8 +174,8 @@ class TestQuantizationSweep:
                           isnr_targets_db=(), trials_per_point=5,
                           methods=("oracle",), master_seed=1,
                           quantizer=QuantizerSweepSpec(base_bits=4))
-        res = run_quantization_sweep(cfg)
-        bits = {s.rho: s.bits for s in aggregate(res)}
+        res = run_sweep(cfg)
+        bits = {s.rho: s.bits for s in aggregate(res.rows)}
         assert bits[1] == 4
         assert bits[2] == 5   # 4 + 1.309
         assert bits[4] == 7   # 4 + 2.618 rounds up
@@ -194,7 +186,7 @@ class TestQuantizationSweep:
                           isnr_targets_db=(), trials_per_point=4,
                           methods=("oracle", "cosamp"), master_seed=2,
                           quantizer=QuantizerSweepSpec(base_bits=4))
-        res = run_quantization_sweep(cfg)
+        res = run_sweep(cfg)
         for row in res.rows:
             assert row.isnr_target_db is None
             assert row.isnr_db is None
@@ -207,13 +199,30 @@ class TestQuantizationSweep:
                               isnr_targets_db=(), trials_per_point=8, methods=("oracle",),
                               master_seed=3, measurement_noise_var=noise_var,
                               quantizer=QuantizerSweepSpec(base_bits=4))
-            res = run_quantization_sweep(cfg)
+            res = run_sweep(cfg)
             return np.mean([row.msnr_db for row in res.rows])
 
         assert mean_msnr(0.01) < mean_msnr(0.0) - 3.0
 
+    def test_signal_noise_and_quantizer_apply_together(self):
+        base = dict(ambient_dim=256, band_width=2, rho_list=(1, 4), trials_per_point=3,
+                    methods=("oracle", "cosamp"), master_seed=6)
+        quantizer = QuantizerSweepSpec(base_bits=4)
+        joint = run_sweep(SweepConfig(isnr_targets_db=(40.0,), quantizer=quantizer, **base))
+        noise_only = run_sweep(SweepConfig(isnr_targets_db=(40.0,), **base))
+        quant_only = run_sweep(SweepConfig(quantizer=quantizer, **base))
+        assert len(joint.rows) == 2 * 3 * 2
+        for row, noisy, quantized in zip(joint.rows, noise_only.rows, quant_only.rows):
+            assert row.isnr_target_db == 40.0
+            assert row.isnr_db is not None and row.bits is not None
+            assert row.rsnr_db is not None
+            # one seed per (point, trial): the same signal noise and the same bit depth
+            assert row.seed == noisy.seed == quantized.seed
+            assert row.isnr_db == noisy.isnr_db
+            assert row.bits == quantized.bits
+
     def test_pooled_sweep_leaves_no_process(self):
-        res = run_quantization_sweep(_tiny_quant_cfg(), n_workers=2)
+        res = run_sweep(_tiny_quant_cfg(), n_workers=2)
         assert len(res.rows) == 4
         assert multiprocessing.active_children() == []
 
@@ -277,7 +286,7 @@ class TestOneBlasThread:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_restores_count_and_records_it(self, blas_at_two_threads, workers):
-        res = run_quantization_sweep(_tiny_quant_cfg(), n_workers=workers)
+        res = run_sweep(_tiny_quant_cfg(), n_workers=workers)
         assert _blas_threads() == 2
         assert res.environment["blas_threads"] == 1
         assert res.environment["workers"] == workers
@@ -290,16 +299,16 @@ class TestOneBlasThread:
                                  mp_context=multiprocessing.get_context(method))
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
         monkeypatch.setattr(experiments, "_run_block", _block_reporting_blas_threads)
-        res = run_quantization_sweep(_tiny_quant_cfg(), n_workers=2)
+        res = run_sweep(_tiny_quant_cfg(), n_workers=2)
         assert res.rows == [1, 1]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_runs_without_openblas_handle(monkeypatch, workers):
     cfg = _tiny_quant_cfg()
-    expected = run_quantization_sweep(cfg).rows
+    expected = run_sweep(cfg).rows
     monkeypatch.setattr(experiments, "_openblas", lambda: None)
-    res = run_quantization_sweep(cfg, n_workers=workers)
+    res = run_sweep(cfg, n_workers=workers)
     assert res.rows == expected
     assert res.environment["blas_threads"] is None
 
@@ -307,8 +316,8 @@ def test_sweep_runs_without_openblas_handle(monkeypatch, workers):
 class TestAggregate:
     def test_linear_mean_then_db(self):
         cfg = _small_cfg(trials_per_point=10, methods=("oracle",))
-        res = run_noise_folding_sweep(cfg)
-        summaries = aggregate(res)
+        res = run_sweep(cfg)
+        summaries = aggregate(res.rows)
         rows2 = [r for r in res.rows if r.rho == 2]
         expected = 10 * np.log10(np.mean([10 ** (r.rsnr_db / 10) for r in rows2]))
         got = [s for s in summaries if s.rho == 2][0].mean_rsnr_db
@@ -316,7 +325,7 @@ class TestAggregate:
 
     def test_support_rate_and_counts(self):
         cfg = _small_cfg(trials_per_point=10)
-        summaries = aggregate(run_noise_folding_sweep(cfg))
+        summaries = aggregate(run_sweep(cfg).rows)
         for s in summaries:
             assert s.n_trials == 10
             assert 0.0 <= s.support_exact_rate <= 1.0

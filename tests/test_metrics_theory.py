@@ -155,23 +155,6 @@ class TestQuantizationLinkBounds:
             count += 1
         assert count >= 90
 
-    def test_par_transfer_bound_violation_rate(self):
-        # i.i.d. +-1/sqrt(M) ensembles: bound fails on at most ~2% of draws
-        M, B = 100, 400
-        rng = np.random.default_rng(0)
-        violations = 0
-        trials = 10_000
-        bound_prob = theory.par_transfer_bound(1.0, M)[1]
-        assert bound_prob == pytest.approx(1 - 2 / M)
-        for _ in range(trials):
-            x = rng.standard_normal(B)
-            phi = (2.0 * rng.integers(0, 2, size=(M, B)) - 1.0) / np.sqrt(M)
-            y = phi @ x
-            lhs = (B / M) * np.max(np.abs(x)) ** 2 / np.max(np.abs(y)) ** 2
-            rhs = par(x) ** 2 / (4 * np.log(M))
-            violations += lhs < rhs
-        assert violations / trials <= 0.05
-
     def test_worst_case_par_penalty_implication(self):
         # whenever every |y_j| <= rho * max|x|, the transfer ratio is >= 1/rho
         rng = np.random.default_rng(1)
