@@ -120,12 +120,13 @@ def _cmd_sweep(args) -> int:
     workers = _workers_from_env()
     Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the sweep
     result = run_sweep(cfg, n_workers=workers)
-    paths = write_results(result, args.out, fmt=args.format, config_dict=data)
-    summary = json.loads(Path(paths["summary"]).read_text())
-    for point in summary["points"]:
+    summaries = []
+    paths = write_results(result, args.out, fmt=args.format, config_dict=data,
+                          summaries=summaries)
+    for point in summaries:
         print(
-            f"rho={point['rho']:>5} isnr={point['isnr_target_db']} method={point['method']:<8}"
-            f" mean_rsnr_db={point['mean_rsnr_db']} failed={point['n_failed']}"
+            f"rho={point.rho:>5} isnr={point.isnr_target_db} method={point.method:<8}"
+            f" bits={point.bits} mean_rsnr_db={point.mean_rsnr_db} failed={point.n_failed}"
         )
     for name, path in paths.items():
         print(f"{name}: {path}")

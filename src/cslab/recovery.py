@@ -7,6 +7,11 @@ Three estimators:
 * ``bandpass_baseline``: uniform decimation of the Nyquist-rate samples with
   fold-bin readout; a benchmark that preserves coefficient values but, unlike
   the randomized ensembles, cannot tolerate aliases landing on one another.
+
+The least-squares steps of the first two solve normal equations from
+``MeasurementEnsemble.gram`` (closed form for ``subsampled_dct``) and
+(R^T y)[L]; LAPACK gelsd on the extracted columns is the only fallback and
+the only judge of rank.
 """
 
 from __future__ import annotations
@@ -43,21 +48,30 @@ COSAMP_MAX_ITER = 50
 COSAMP_TOL = 1e-6
 
 
+def _eigh_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve the normal equations G x = rhs through one eigendecomposition.
+
+    Returns None when the solve cannot be trusted: a failed factorization or
+    cond(G) above ``GRAM_COND_LIMIT``.
+    """
+    try:
+        w, v = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:
+        return None
+    if not w[0] > w[-1] / GRAM_COND_LIMIT:  # also catches NaN
+        return None
+    return v @ ((v.T @ rhs) / w)
+
+
 def _gram_solve(columns: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """Least squares through one eigendecomposition of the k x k Gram matrix.
+    """Least squares through the k x k Gram matrix of an explicit block.
 
     Returns None when the solve cannot be trusted: more columns than rows, a
     failed factorization, or cond(G) above ``GRAM_COND_LIMIT``.
     """
     if columns.shape[1] > columns.shape[0]:  # G is singular; skip the factorization
         return None
-    try:
-        w, v = np.linalg.eigh(columns.T @ columns)
-    except np.linalg.LinAlgError:
-        return None
-    if not w[0] > w[-1] / GRAM_COND_LIMIT:  # also catches NaN
-        return None
-    return v @ ((v.T @ (columns.T @ y)) / w)
+    return _eigh_solve(columns.T @ columns, columns.T @ y)
 
 
 def _lstsq_on_support(columns: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -78,15 +92,18 @@ def _lstsq_on_support(columns: np.ndarray, y: np.ndarray) -> np.ndarray:
 def oracle_recover(ensemble, y: np.ndarray, support) -> RecoveryOutput:
     """Least squares on the given support; zero elsewhere.
 
-    Raises on a rank-deficient column submatrix (the support is then not
-    identifiable from these measurements).
+    Solves the normal equations from ``ensemble.gram(support)`` and
+    ``(R.T @ y)[support]``; a block that solve cannot trust goes to gelsd on
+    the extracted columns, which raises on a rank-deficient column submatrix
+    (the support is then not identifiable from these measurements).
     """
     support = np.sort(np.asarray(support, dtype=int))
     y = np.asarray(y, dtype=float)
     if support.size > ensemble.rows:
         raise ValueError("support larger than the number of measurements")
-    cols = ensemble.columns(support)
-    sol = _lstsq_on_support(cols, y)
+    sol = _eigh_solve(ensemble.gram(support), ensemble.apply_transpose(y)[support])
+    if sol is None:
+        sol = _lstsq_on_support(ensemble.columns(support), y)
     coeffs = np.zeros(ensemble.cols)
     coeffs[support] = sol
     return RecoveryOutput(coeffs_hat=coeffs, support_hat=support)
@@ -104,12 +121,19 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
     an iteration that would increase the residual is rejected (the previous
     state is kept), so the recorded residual norms never increase.  A failed
     least-squares solve ends the run as non-converged rather than raising.
+
+    Both least-squares steps solve normal equations built from
+    ``ensemble.gram`` and R^T y, which is the first proxy (the residual starts
+    at y); the refit Gram is a slice of the candidate Gram.  Only the W
+    pruned columns are extracted, for the residual.  A candidate set wider
+    than M, or a Gram the eigh solve cannot trust, goes to gelsd on the
+    extracted columns.
     """
     W = int(sparsity)
     if W < 1:
         raise ValueError("sparsity must be >= 1")
     y = np.asarray(y, dtype=float)
-    B = ensemble.cols
+    B, M = ensemble.cols, ensemble.rows
     y_norm = float(np.linalg.norm(y))
     if y_norm == 0.0:
         return RecoveryOutput(
@@ -122,7 +146,8 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
 
     support = np.array([], dtype=int)
     coeffs = np.zeros(B)
-    residual = y.copy()
+    residual = y
+    rty = ensemble.apply_transpose(y)  # R^T y, also the first proxy
     res_norm = y_norm
     history = [res_norm]
     converged = False
@@ -130,19 +155,24 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
     n_strong = min(2 * W, B)
     while it < COSAMP_MAX_ITER:
         it += 1
-        proxy = ensemble.apply_transpose(residual)
+        proxy = rty if it == 1 else ensemble.apply_transpose(residual)
         strongest = np.argpartition(np.abs(proxy), -n_strong)[-n_strong:]
         candidates = np.union1d(strongest, support)
         try:
-            cand_cols = ensemble.columns(candidates)
-            cand_sol = _gram_solve(cand_cols, y)
+            # more candidates than rows: G is singular, skip it
+            cand_gram = ensemble.gram(candidates) if candidates.size <= M else None
+            cand_sol = None if cand_gram is None else _eigh_solve(cand_gram, rty[candidates])
             if cand_sol is None:  # wide or ill-conditioned: minimum-norm solution
-                cand_sol = np.linalg.lstsq(cand_cols, y, rcond=None)[0]
+                cand_sol = np.linalg.lstsq(ensemble.columns(candidates), y, rcond=None)[0]
             # candidates are sorted, so sorted positions give a sorted support
             keep = np.sort(np.argsort(np.abs(cand_sol))[-W:])
             new_support = candidates[keep]
-            new_cols = cand_cols[:, keep]
-            new_sol = _lstsq_on_support(new_cols, y)
+            new_gram = (ensemble.gram(new_support) if cand_gram is None
+                        else cand_gram[np.ix_(keep, keep)])
+            new_sol = _eigh_solve(new_gram, rty[new_support])
+            new_cols = ensemble.columns(new_support)
+            if new_sol is None:
+                new_sol = _lstsq_on_support(new_cols, y)
         except np.linalg.LinAlgError:
             break
         new_residual = y - new_cols @ new_sol

@@ -188,7 +188,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
-                  config_dict: dict | None = None) -> dict:
+                  config_dict: dict | None = None, summaries: list | None = None) -> dict:
     """Persist a sweep: rows (csv or json), JSON summary of per-point means,
     a plot-data CSV of (log2 rho, mean rsnr dB) series per method, and a run
     manifest.  Returns the written paths.
@@ -198,7 +198,9 @@ def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
     sweep's runtime environment (worker count, BLAS threads, affinity CPUs,
     library versions).  Each file is written to a temporary file in
     ``out_dir`` and renamed into place, so a failed run never leaves a partly
-    written file.
+    written file.  When ``summaries`` is a list, the per-point summaries
+    written to summary.json are appended to it, so a caller can report them
+    without reading the file back.
     """
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
@@ -218,14 +220,16 @@ def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
 
     # aggregate from the serialized precision so persisted rows reproduce it
     rounded = [_fields_to_row(line.split(",")) for line in csv_text.splitlines()[1:]]
-    summaries = aggregate(rounded)
+    points = aggregate(rounded)
     summary_path = out / "summary.json"
     _write_atomic(summary_path, json.dumps(
-        {"points": [asdict(s) for s in summaries]}, indent=1) + "\n")
+        {"points": [asdict(s) for s in points]}, indent=1) + "\n")
     paths["summary"] = summary_path
+    if summaries is not None:
+        summaries.extend(points)
 
     plot_lines = ["method,isnr_target_db,log2_rho,mean_rsnr_db"]
-    for s in summaries:
+    for s in points:
         plot_lines.append(",".join([
             s.method,
             format_number(s.isnr_target_db),

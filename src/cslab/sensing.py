@@ -11,6 +11,9 @@ Three families are provided:
 
 A ``MeasurementEnsemble`` holds either the dense matrix or the (signs,
 selected rows) pair, never both, and takes its shape from those arrays.
+``gram(L)`` returns the k x k block ``R[:, L].T @ R[:, L]`` that the
+least-squares solvers need; for ``subsampled_dct`` it is read in closed form
+off one cosine-sum kernel per ensemble, without extracting the M x k columns.
 
 ``orthogonalize_rows`` turns any full-row-rank ensemble into one with
 ``R @ R.T == rho * I`` on the same row space (reduced SVD, keep the right
@@ -24,7 +27,7 @@ import math
 from itertools import combinations
 
 import numpy as np
-from scipy.fft import dct, idct
+from scipy.fft import dct, idct, rfft
 
 __all__ = [
     "MeasurementEnsemble",
@@ -48,8 +51,8 @@ class MeasurementEnsemble:
     (length B) and ``selected_rows`` (the M kept DCT rows, strictly
     increasing) and applies in O(B log B).  ``rows`` and ``cols`` are read off
     those arrays.  For an implicit ensemble ``.matrix`` is built fresh on every
-    read and never stored, so reading it never changes how the operator
-    applies.
+    read and never stored, and the read-only kernel behind ``gram`` is built
+    on the first ``gram`` call; neither changes how the operator applies.
     """
 
     def __init__(
@@ -74,6 +77,7 @@ class MeasurementEnsemble:
         self._matrix = matrix
         self._signs = signs
         self._selected = selected_rows
+        self._kernel = None  # subsampled_dct only: K(m) for m = 0..2B-1, see gram()
 
     @property
     def subsampling(self) -> float:
@@ -130,6 +134,41 @@ class MeasurementEnsemble:
             block[0] = 1.0 / np.sqrt(B)
         block *= np.sqrt(self.subsampling) * self._signs[idx]
         return block
+
+    def gram(self, indices) -> np.ndarray:
+        """R[:, indices].T @ R[:, indices] as a dense k x k array.
+
+        Dense families form that product from the extracted columns.  For
+        ``subsampled_dct`` with kept rows S, cos(a)cos(b) = (cos(a+b) +
+        cos(a-b))/2 turns the entry of columns i and j into two reads of the
+        kernel K(m) = sum_{q in S} cos(pi q m / B):
+
+            G[i, j] = s_i s_j (K(i+j+1) + K(|i-j|) - [0 in S]) / M
+
+        (DCT row 0 carries 1/sqrt(B), not sqrt(2/B), hence the correction).
+        That costs k^2 gathers in place of an M x k block and its product.
+        """
+        idx = np.atleast_1d(np.asarray(indices, dtype=int))
+        if self._matrix is not None:
+            cols = self.columns(idx)
+            return cols.T @ cols
+        if self._kernel is None:
+            # K(m) is the real part of the length-2B DFT of the kept-row
+            # indicator; rfft gives m = 0..B and K(m) = K(2B - m) the rest
+            B = self.cols
+            indicator = np.zeros(2 * B)
+            indicator[self._selected] = 1.0
+            half = rfft(indicator).real
+            self._kernel = np.concatenate([half, half[-2:0:-1]])
+            self._kernel.flags.writeable = False
+        kernel = self._kernel
+        gram = kernel[np.add.outer(idx, idx + 1)]
+        gram += kernel[np.abs(np.subtract.outer(idx, idx))]
+        if self._selected[0] == 0:
+            gram -= 1.0
+        signs = self._signs[idx]
+        gram *= np.multiply.outer(signs, signs / self.rows)
+        return gram
 
 
 @functools.lru_cache(maxsize=8)

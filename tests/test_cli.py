@@ -290,6 +290,30 @@ class TestCliMain:
         bits = {r.rho: r.bits for r in rows}
         assert bits == {1: 4, 2: 5}  # anchor, then one octave along the trend
 
+    def test_sweep_prints_bits_and_the_written_summary(self, tmp_path, capsys, monkeypatch):
+        cfg = {"ambient_dim": 128, "band_width": 2, "rho_list": [1, 2], "trials_per_point": 2,
+               "methods": ["oracle"], "quantizer": {"base_bits": 4}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        read_back = []
+        read_text = Path.read_text
+
+        def recorded(self, *args, **kwargs):
+            read_back.append(self.name)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", recorded)
+        assert main(["quantizer-sweep", "--config", str(path), "--out", str(out_dir)]) == 0
+        assert "summary.json" not in read_back
+        monkeypatch.undo()
+        lines = capsys.readouterr().out.splitlines()
+        (rho_1,) = [line for line in lines if line.startswith("rho=    1 ")]
+        assert " bits=4 " in rho_1
+        (point,) = [p for p in json.loads((out_dir / "summary.json").read_text())["points"]
+                    if p["rho"] == 1]
+        assert f"mean_rsnr_db={point['mean_rsnr_db']} " in rho_1
+
     def test_quantizer_config_without_targets_has_no_signal_noise(self, tmp_path, capsys):
         cfg = {"ambient_dim": 128, "band_width": 2, "rho_list": [1, 2], "trials_per_point": 3,
                "methods": ["oracle"], "quantizer": {"base_bits": 4}}

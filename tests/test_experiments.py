@@ -5,8 +5,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from cslab import experiments, recovery
+from cslab import experiments, recovery, sensing
 from cslab.experiments import (
+    METHODS,
     ContainmentConfig,
     QuantizerSweepSpec,
     SweepConfig,
@@ -15,6 +16,7 @@ from cslab.experiments import (
     run_bound_containment,
     run_sweep,
 )
+from cslab.results_io import rows_to_csv_text
 
 
 class TestTrialSeeds:
@@ -225,6 +227,33 @@ class TestQuantizationSweep:
         res = run_sweep(_tiny_quant_cfg(), n_workers=2)
         assert len(res.rows) == 4
         assert multiprocessing.active_children() == []
+
+
+def _gram_by_columns(ensemble, indices):
+    cols = ensemble.columns(indices)
+    return cols.T @ cols
+
+
+class TestGramAgainstColumnProduct:
+    """A sweep writes the same rows whether ``MeasurementEnsemble.gram`` is
+    read in closed form or formed from the extracted columns."""
+
+    @pytest.mark.parametrize("cfg", [
+        # M = 16 rows at rho = 64 against up to 3W = 39 CoSaMP candidates: the wide gelsd path
+        SweepConfig(ambient_dim=1024, band_width=13, rho_list=(1, 4, 16, 32, 64),
+                    trials_per_point=4, methods=("oracle", "cosamp"), master_seed=7,
+                    quantizer=QuantizerSweepSpec(base_bits=4)),
+        SweepConfig(ambient_dim=512, band_width=4, rho_list=(2, 8, 32),
+                    isnr_targets_db=(40.0, 20.0), trials_per_point=4, methods=METHODS,
+                    master_seed=8),
+        SweepConfig(ambient_dim=128, band_width=3, rho_list=(2, 8), isnr_targets_db=(30.0,),
+                    trials_per_point=6, methods=("oracle", "cosamp"), master_seed=9,
+                    ensemble="gaussian"),
+    ], ids=["quantizer_wide_candidates", "noise_folding", "gaussian"])
+    def test_rows_byte_identical(self, cfg, monkeypatch):
+        closed_form = rows_to_csv_text(run_sweep(cfg).rows)
+        monkeypatch.setattr(sensing.MeasurementEnsemble, "gram", _gram_by_columns)
+        assert rows_to_csv_text(run_sweep(cfg).rows) == closed_form
 
 
 def _tiny_quant_cfg():

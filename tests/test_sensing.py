@@ -175,7 +175,7 @@ class TestColumnsCosineTable:
         idx = rng.choice(B, int(rng.integers(1, min(B, 40) + 1)), replace=False)
         block = ens.columns(idx)
         nptest.assert_allclose(block, _columns_by_cos(ens, idx), rtol=0, atol=1e-12)
-        # CoSaMP slices a candidate block instead of extracting the columns again
+        # a column's entries do not depend on the other columns extracted with it
         keep = np.sort(rng.choice(idx.size, (idx.size + 1) // 2, replace=False))
         nptest.assert_array_equal(block[:, keep], ens.columns(idx[keep]))
 
@@ -185,6 +185,62 @@ class TestColumnsCosineTable:
         assert _scaled_cosine_table(64) is table
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+def _row_sets(B, rng):
+    """Kept-row sets with and without DCT rows 0 and B - 1."""
+    inner = rng.choice(np.arange(1, B - 1), max(1, (B - 2) // 4), replace=False) if B > 2 else []
+    sets = [np.union1d(inner, [0, B - 1]), np.union1d(inner, [0]),
+            np.union1d(inner, [B - 1]), np.union1d(inner, [])]
+    return [rows.astype(int) for rows in sets if rows.size]
+
+
+class TestGram:
+    """``gram`` against the product of the extracted columns it replaces."""
+
+    @pytest.mark.parametrize("B", [1, 15, 16, 24, 64, 8192])
+    def test_subsampled_dct_matches_column_product(self, B):
+        rng = np.random.default_rng(B)
+        signs = 2.0 * rng.integers(0, 2, size=B) - 1.0
+        index_sets = [[0, B - 1],
+                      np.union1d([0, B - 1], rng.choice(B, min(B, 39), replace=False)),
+                      np.arange(B)[::max(1, B // 40)]]
+        for rows in _row_sets(B, rng):
+            ens = MeasurementEnsemble(signs=signs, selected_rows=rows)
+            for idx in index_sets:
+                cols = ens.columns(idx)
+                nptest.assert_allclose(ens.gram(idx), cols.T @ cols, rtol=0, atol=1e-12)
+
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_subsampled_dct_matches_column_product_any_size(self, B, seed):
+        rng = np.random.default_rng(seed)
+        ens = generate_subsampled_dct_ensemble(int(rng.integers(1, B + 1)), B, seed)
+        idx = rng.choice(B, int(rng.integers(1, min(B, 40) + 1)), replace=False)
+        cols = ens.columns(idx)
+        nptest.assert_allclose(ens.gram(idx), cols.T @ cols, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+    def test_dense_is_the_column_product(self, distribution):
+        ens = orthogonalize_rows(generate_ensemble(16, 32, distribution, 3))
+        for idx in ([0, 31], [4, 9, 17], np.arange(32)):
+            cols = ens.columns(idx)
+            nptest.assert_array_equal(ens.gram(idx), cols.T @ cols)
+
+    def test_kernel_read_only_and_operator_unchanged(self):
+        ens = generate_subsampled_dct_ensemble(64, 256, 11)
+        v = np.random.default_rng(12).standard_normal(256)
+        r = np.random.default_rng(13).standard_normal(64)
+        idx = [0, 7, 255]
+        before = ens.apply(v), ens.apply_transpose(r), ens.columns(idx)
+        ens.gram(idx)
+        kernel = ens._kernel
+        assert kernel.shape == (512,)
+        with pytest.raises(ValueError):
+            kernel[0] = 0.0
+        ens.gram([3, 4])
+        assert ens._kernel is kernel
+        for old, new in zip(before, (ens.apply(v), ens.apply_transpose(r), ens.columns(idx))):
+            assert old.tobytes() == new.tobytes()
 
 
 class TestOrthogonalizeRows:
