@@ -211,8 +211,7 @@ def _trial(cfg: SweepConfig, point_index: int, rho: int,
     B, W = cfg.ambient_dim, cfg.band_width
     bits = quantizer = None
     if cfg.quantizer is not None:
-        lam = cfg.quantizer.base_bits + 10.0 * np.log10(B) / 2.3
-        bits = max(1, int(np.floor(theory.bit_depth_trend(lam, B, rho) + 0.5)))
+        bits = max(1, int(np.floor(theory.bit_depth_trend(cfg.quantizer.base_bits, rho) + 0.5)))
         quantizer = quantization.QuantizerSpec(bits=bits, saturation=cfg.quantizer.saturation)
 
     spectrum = signal_model.generate_bandlimited(B, W, "random", c_signal)

@@ -10,14 +10,15 @@ Three estimators:
 
 The least-squares steps of the first two solve normal equations from
 ``MeasurementEnsemble.gram`` (closed form for ``subsampled_dct``) and
-(R^T y)[L]; LAPACK gelsd on the extracted columns is the only fallback and
-the only judge of rank.
+(R^T y)[L] through one eigendecomposition; a block that solve refuses goes
+straight to LAPACK gelsd on the extracted columns, the only fallback and the
+only judge of rank.  No block is factorized twice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +37,6 @@ class RecoveryOutput:
     support_hat: np.ndarray
     iterations: int = 0
     converged: bool = True
-    residual_history: list = field(default_factory=list)
 
 
 # the Gram solve loses about log10(cond(G)) of the 16 digits; beyond this
@@ -63,26 +63,13 @@ def _eigh_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return v @ ((v.T @ rhs) / w)
 
 
-def _gram_solve(columns: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """Least squares through the k x k Gram matrix of an explicit block.
-
-    Returns None when the solve cannot be trusted: more columns than rows, a
-    failed factorization, or cond(G) above ``GRAM_COND_LIMIT``.
-    """
-    if columns.shape[1] > columns.shape[0]:  # G is singular; skip the factorization
-        return None
-    return _eigh_solve(columns.T @ columns, columns.T @ y)
-
-
 def _lstsq_on_support(columns: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full-rank least squares; raises LinAlgError on a rank-deficient block.
+    """Full-rank least squares by LAPACK gelsd; raises LinAlgError on a
+    rank-deficient block.
 
-    The Gram solve answers well-conditioned blocks; every other block goes to
-    LAPACK gelsd, which alone decides whether the block is rank-deficient.
+    The fallback for blocks whose Gram ``_eigh_solve`` refused; gelsd alone
+    decides whether the block is rank-deficient.
     """
-    sol = _gram_solve(columns, y)
-    if sol is not None:
-        return sol
     sol, _, rank, _ = np.linalg.lstsq(columns, y, rcond=None)
     if rank < columns.shape[1]:
         raise np.linalg.LinAlgError("rank-deficient submatrix")
@@ -119,15 +106,17 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
     than ``COSAMP_TOL * ||y||`` between iterations or after
     ``COSAMP_MAX_ITER`` iterations;
     an iteration that would increase the residual is rejected (the previous
-    state is kept), so the recorded residual norms never increase.  A failed
-    least-squares solve ends the run as non-converged rather than raising.
+    state is kept), so the residual norm never increases from one accepted
+    iteration to the next.  A failed least-squares solve ends the run as
+    non-converged rather than raising.
 
     Both least-squares steps solve normal equations built from
     ``ensemble.gram`` and R^T y, which is the first proxy (the residual starts
     at y); the refit Gram is a slice of the candidate Gram.  Only the W
-    pruned columns are extracted, for the residual.  A candidate set wider
-    than M, or a Gram the eigh solve cannot trust, goes to gelsd on the
-    extracted columns.
+    pruned columns are extracted, for the residual.  A Gram the eigh solve
+    refuses goes to gelsd on the extracted columns: the minimum-norm solution
+    for the candidate set (also used directly when it is wider than M), and
+    ``_lstsq_on_support`` for the refit, whose rank check ends the run.
     """
     W = int(sparsity)
     if W < 1:
@@ -141,7 +130,6 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
             support_hat=np.array([], dtype=int),
             iterations=1,
             converged=True,
-            residual_history=[0.0],
         )
 
     support = np.array([], dtype=int)
@@ -149,7 +137,6 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
     residual = y
     rty = ensemble.apply_transpose(y)  # R^T y, also the first proxy
     res_norm = y_norm
-    history = [res_norm]
     converged = False
     it = 0
     n_strong = min(2 * W, B)
@@ -186,7 +173,6 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
         coeffs[support] = new_sol
         improvement = res_norm - new_norm
         residual, res_norm = new_residual, new_norm
-        history.append(res_norm)
         if improvement < COSAMP_TOL * y_norm:
             converged = True
             break
@@ -196,7 +182,6 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
         support_hat=support,
         iterations=it,
         converged=converged,
-        residual_history=history,
     )
 
 

@@ -79,10 +79,10 @@ def rho_cs(rho_max: float, kappa0: float = DEFAULT_KAPPA0) -> float:
     return min(rho_max, kappa0 * rho_max / math.log(rho_max))
 
 
-def bit_depth_trend(lambda_anchor: float, ambient_dim: float, subsampling: float) -> float:
-    """Achievable quantizer bits at sample rate B/rho:
-    b = lambda - 10*log10(B/rho)/2.3 (about 1.309 bits per octave)."""
-    return lambda_anchor - 10.0 * math.log10(ambient_dim / subsampling) / 2.3
+def bit_depth_trend(base_bits: float, subsampling: float) -> float:
+    """Achievable quantizer bits at subsampling rho for a full-rate bit depth
+    b0: b0 + (10*log10(2)/2.3) * log2(rho) (about 1.309 bits per octave)."""
+    return base_bits + BIT_SLOPE_PER_OCTAVE * math.log2(subsampling)
 
 
 @dataclass(frozen=True)
@@ -116,13 +116,12 @@ def design_rules(
     rmax = ambient_dim / band_width
     rcs = rho_cs(rmax, kappa0)
     nf_db = 10.0 * math.log10(rcs)
-    bit_gain = BIT_SLOPE_PER_OCTAVE * math.log2(rcs)
-    bits = base_bits + bit_gain
+    bits = bit_depth_trend(base_bits, rcs)
     return DesignRuleReport(
         rho_max=rmax,
         rho_cs=rcs,
         noise_figure_db=nf_db,
-        bit_gain=bit_gain,
+        bit_gain=BIT_SLOPE_PER_OCTAVE * math.log2(rcs),
         projected_bits=bits,
         projected_dr_db=6.02 * bits,
     )

@@ -1,5 +1,8 @@
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -369,3 +372,20 @@ class TestCliMain:
                               "rho_cs", "noise_figure_db", "bit_gain", "projected_bits",
                               "projected_dr_db", "reduced_rate_hz"]
         assert data["reduced_rate_hz"] == pytest.approx(data["ambient_dim"] / data["rho_cs"])
+
+
+class TestScripts:
+    def test_quantizer_sweep_script_overrides_base_bits(self, tmp_path):
+        # the script rewrites the committed config into a temporary file
+        env = dict(os.environ, CSLAB_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "run_quantizer_sweep.py"),
+             "--base-bits", "8", "--trials", "1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        points = json.loads((tmp_path / "out_quantizer_sweep" / "summary.json").read_text())
+        bits = {p["rho"]: p["bits"] for p in points["points"]}
+        assert bits[1] == 8
+        assert bits[256] == 18  # eight octaves at about 1.309 bits each

@@ -100,12 +100,11 @@ class TestDesignRules:
         assert theory.rho_cs(1.0) == 1.0
 
     def test_bit_depth_trend(self):
-        lam = 4.0 + 10 * math.log10(8192) / 2.3
-        diff = theory.bit_depth_trend(lam, 8192, 32) - theory.bit_depth_trend(lam, 8192, 16)
+        diff = theory.bit_depth_trend(4.0, 32) - theory.bit_depth_trend(4.0, 16)
         assert diff == pytest.approx(10 * math.log10(2) / 2.3)
         assert diff == pytest.approx(1.309, abs=0.001)
-        assert theory.bit_depth_trend(lam, 8192, 1) == pytest.approx(4.0)
-        assert theory.bit_depth_trend(lam, 8192, 16) == pytest.approx(9.2353, abs=0.001)
+        assert theory.bit_depth_trend(4.0, 1) == pytest.approx(4.0)
+        assert theory.bit_depth_trend(4.0, 16) == pytest.approx(9.2353, abs=0.001)
 
     def test_table_inputs(self):
         rep = theory.design_rules(1e9, 4e5, kappa0=0.5, base_bits=8)

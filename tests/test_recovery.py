@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from cslab import metrics, recovery
 from cslab.recovery import (
     GRAM_COND_LIMIT,
+    _eigh_solve,
     _fold,
-    _gram_solve,
     _lstsq_on_support,
     bandpass_baseline,
     cosamp,
@@ -75,17 +75,25 @@ class TestOracleRecover:
         # raise as a failed row and the tracer counts it as a rank failure
         ens = generate_subsampled_dct_ensemble(64, 256, 23)
         y = np.random.default_rng(24).standard_normal(64)
-        calls = []
+        calls, factorizations = [], []
         original = recovery._lstsq_on_support
+        original_eigh = np.linalg.eigh
 
         def recorded(columns, y):
             calls.append(columns.shape)
             return original(columns, y)
 
+        def counted_eigh(a, *args, **kwargs):
+            factorizations.append(a.shape)
+            return original_eigh(a, *args, **kwargs)
+
         monkeypatch.setattr(recovery, "_lstsq_on_support", recorded)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         with pytest.raises(np.linalg.LinAlgError):
             oracle_recover(ens, y, [5, 5, 9])
         assert calls == [(64, 3)]
+        # the closed-form Gram is factorized once; gelsd is the only fallback
+        assert factorizations == [(3, 3)]
 
     def test_closed_form_gram_matches_gelsd(self):
         ens = generate_subsampled_dct_ensemble(512, 8192, 25)
@@ -117,7 +125,7 @@ def _gelsd(columns, y):
     return np.linalg.lstsq(columns, y, rcond=None)[0]
 
 
-class TestGramSolve:
+class TestEighSolve:
     @pytest.mark.parametrize("n_rows,n_cols", [(8192, 13), (1024, 13), (8192, 39),
                                                (1024, 39), (64, 39)])
     def test_matches_gelsd_on_sweep_blocks(self, n_rows, n_cols):
@@ -127,15 +135,16 @@ class TestGramSolve:
         rng = np.random.default_rng(4)
         cols = ens.columns(np.sort(rng.choice(B, n_cols, replace=False)))
         y = rng.standard_normal(n_rows)
-        assert _gram_solve(cols, y) is not None
-        nptest.assert_allclose(_lstsq_on_support(cols, y), _gelsd(cols, y), rtol=1e-9)
+        sol = _eigh_solve(cols.T @ cols, cols.T @ y)
+        assert sol is not None
+        nptest.assert_allclose(sol, _gelsd(cols, y), rtol=1e-9)
 
     @given(st.integers(1, 20), st.integers(0, 40), st.integers(0, 2**32 - 1))
     def test_matches_gelsd_within_conditioning(self, k, extra_rows, seed):
         rng = np.random.default_rng(seed)
         cols = rng.standard_normal((k + extra_rows, k))
         y = rng.standard_normal(k + extra_rows)
-        sol = _gram_solve(cols, y)
+        sol = _eigh_solve(cols.T @ cols, cols.T @ y)
         if sol is not None:
             ref = _gelsd(cols, y)
             cond = np.linalg.cond(cols.T @ cols)
@@ -143,11 +152,13 @@ class TestGramSolve:
             assert np.linalg.norm(sol - ref) <= 1e-12 * cond * np.linalg.norm(ref)
 
     def test_wider_than_tall_falls_back(self):
-        # rho = 256, W = 13: up to 39 CoSaMP candidates against M = 32 rows
+        # rho = 256, W = 13: up to 39 CoSaMP candidates against M = 32 rows;
+        # the 39 x 39 Gram has rank 32, so the guard itself refuses it
         ens = generate_subsampled_dct_ensemble(32, 8192, 5)
         cols = ens.columns(np.arange(0, 8192, 211)[:39])
         y = np.random.default_rng(6).standard_normal(32)
-        assert _gram_solve(cols, y) is None
+        assert cols.shape == (32, 39)
+        assert _eigh_solve(cols.T @ cols, cols.T @ y) is None
         with pytest.raises(np.linalg.LinAlgError):
             _lstsq_on_support(cols, y)
 
@@ -158,13 +169,13 @@ class TestGramSolve:
         v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         cols = u @ np.diag(np.logspace(0, -7, 5)) @ v.T
         y = rng.standard_normal(100)
-        assert _gram_solve(cols, y) is None
+        assert _eigh_solve(cols.T @ cols, cols.T @ y) is None
         nptest.assert_array_equal(_lstsq_on_support(cols, y), _gelsd(cols, y))
 
     def test_rank_deficient_block_detected(self):
         cols = np.random.default_rng(8).standard_normal((16, 3))
         cols[:, 2] = cols[:, 0] + cols[:, 1]
-        assert _gram_solve(cols, np.ones(16)) is None
+        assert _eigh_solve(cols.T @ cols, cols.T @ np.ones(16)) is None
         with pytest.raises(np.linalg.LinAlgError):
             _lstsq_on_support(cols, np.ones(16))
 
@@ -216,13 +227,30 @@ class TestCosamp:
         off = np.setdiff1d(np.arange(128), out.support_hat)
         assert np.all(out.coeffs_hat[off] == 0.0)
 
-    def test_residual_history_nonincreasing(self):
+    def test_step_that_raises_the_residual_is_rejected(self, monkeypatch):
         ens = generate_ensemble(32, 256, "gaussian", 11)
         sp = generate_bandlimited(256, 4, "random", 12)
         y = ens.apply(sp.coeffs) + 0.1 * np.random.default_rng(13).standard_normal(32)
+        monkeypatch.setattr(recovery, "COSAMP_MAX_ITER", 1)
+        first = cosamp(ens, y, 4)
+        monkeypatch.undo()
+        # each iteration solves twice (candidates, then the refit): spoil the
+        # second iteration's refit so that its residual grows
+        solves = []
+        original = recovery._eigh_solve
+
+        def spoiled(gram, rhs):
+            solves.append(gram.shape)
+            sol = original(gram, rhs)
+            return 10.0 * sol if len(solves) == 4 else sol
+
+        monkeypatch.setattr(recovery, "_eigh_solve", spoiled)
         out = cosamp(ens, y, 4)
-        hist = np.array(out.residual_history)
-        assert np.all(np.diff(hist) <= 1e-12)
+        assert len(solves) == 4
+        assert out.iterations == 2
+        assert not out.converged
+        nptest.assert_array_equal(out.support_hat, first.support_hat)
+        nptest.assert_array_equal(out.coeffs_hat, first.coeffs_hat)
 
     def test_agrees_with_oracle_when_support_found(self):
         ens = generate_ensemble(32, 256, "gaussian", 17)
