@@ -134,6 +134,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_dynamic_range(args) -> int:
+    if args.path == "cs":  # checked before any compute, like a sweep config's rho_list
+        if args.rho < 1:
+            raise ConfigSchemaError(f"--rho must be >= 1; got {args.rho}")
+        if args.ambient_dim % args.rho != 0:
+            raise ConfigDivisibilityError(
+                f"--rho must divide --ambient-dim {args.ambient_dim}; got {args.rho}")
     spec = quantization.QuantizerSpec(bits=args.bits, saturation=args.saturation)
     spectrum = signal_model.generate_bandlimited(
         args.ambient_dim, args.band_width, "random", args.seed)

@@ -112,9 +112,9 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
 
     Both least-squares steps solve normal equations built from
     ``ensemble.gram`` and R^T y, which is the first proxy (the residual starts
-    at y); the refit Gram is a slice of the candidate Gram.  Only the W
-    pruned columns are extracted, for the residual.  A Gram the eigh solve
-    refuses goes to gelsd on the extracted columns: the minimum-norm solution
+    at y); the refit Gram is a slice of the candidate Gram.  The residual is
+    y - R x, with R x from ``ensemble.apply``.  Columns are extracted only
+    for gelsd, when the eigh solve refuses a Gram: the minimum-norm solution
     for the candidate set (also used directly when it is wider than M), and
     ``_lstsq_on_support`` for the refit, whose rank check ends the run.
     """
@@ -157,20 +157,19 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
             new_gram = (ensemble.gram(new_support) if cand_gram is None
                         else cand_gram[np.ix_(keep, keep)])
             new_sol = _eigh_solve(new_gram, rty[new_support])
-            new_cols = ensemble.columns(new_support)
             if new_sol is None:
-                new_sol = _lstsq_on_support(new_cols, y)
+                new_sol = _lstsq_on_support(ensemble.columns(new_support), y)
         except np.linalg.LinAlgError:
             break
-        new_residual = y - new_cols @ new_sol
+        new_coeffs = np.zeros(B)
+        new_coeffs[new_support] = new_sol
+        new_residual = y - ensemble.apply(new_coeffs)
         new_norm = float(np.linalg.norm(new_residual))
         if new_norm > res_norm:
             # reject the step; a sub-tolerance oscillation still counts as settled
             converged = new_norm - res_norm < COSAMP_TOL * y_norm
             break
-        support = new_support
-        coeffs = np.zeros(B)
-        coeffs[support] = new_sol
+        support, coeffs = new_support, new_coeffs
         improvement = res_norm - new_norm
         residual, res_norm = new_residual, new_norm
         if improvement < COSAMP_TOL * y_norm:

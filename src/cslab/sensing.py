@@ -13,7 +13,8 @@ A ``MeasurementEnsemble`` holds either the dense matrix or the (signs,
 selected rows) pair, never both, and takes its shape from those arrays.
 ``gram(L)`` returns the k x k block ``R[:, L].T @ R[:, L]`` that the
 least-squares solvers need; for ``subsampled_dct`` it is read in closed form
-off one cosine-sum kernel per ensemble, without extracting the M x k columns.
+off one cosine-sum kernel per ensemble, without extracting the M x k columns
+(``columns(L)``, one ``cos`` per entry, which recovery needs only for gelsd).
 
 ``orthogonalize_rows`` turns any full-row-rank ensemble into one with
 ``R @ R.T == rho * I`` on the same row space (reduced SVD, keep the right
@@ -22,7 +23,6 @@ factor, rescale rows to norm sqrt(rho)).
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import combinations
 
@@ -115,21 +115,17 @@ class MeasurementEnsemble:
         return scale * self._signs * idct(t, norm="ortho")
 
     def columns(self, indices) -> np.ndarray:
-        """Extract R[:, indices] as a dense M x len(indices) block."""
+        """Extract R[:, indices] as a dense M x len(indices) block; one ``cos``
+        per entry for ``subsampled_dct`` (recovery needs it only for gelsd)."""
         idx = np.atleast_1d(np.asarray(indices, dtype=int))
         if self._matrix is not None:
             return self._matrix[:, idx]
-        # orthonormal DCT-II entries: T[0, j] = 1/sqrt(B),
-        # T[q, j] = sqrt(2/B) * cos(pi * q * (2j + 1) / (2B)) for q >= 1; the
-        # phase is a multiple of pi/(2B), so gather from a period-4B table
+        # orthonormal DCT-II: T[0, j] = 1/sqrt(B), T[q >= 1, j] = sqrt(2/B) *
+        # cos(pi * n / (2B)), phase n = q * (2j + 1) < 2B^2 (int64) mod 4B
         B = self.cols
-        period = 4 * B
-        # q * (2j + 1) < 2B^2; int32 halves the cost of the reduction below
-        dtype = np.int32 if 2 * B * B < 2**31 else np.int64
-        phase = np.multiply.outer(self._selected.astype(dtype), (2 * idx + 1).astype(dtype))
-        # floor_divide by a scalar is several times faster than np.remainder
-        phase -= (phase // period) * period
-        block = np.take(_scaled_cosine_table(B), phase)
+        phase = np.multiply.outer(self._selected.astype(np.int64), 2 * idx.astype(np.int64) + 1)
+        phase %= 4 * B
+        block = np.sqrt(2.0 / B) * np.cos(np.pi * phase / (2.0 * B))
         if self._selected[0] == 0:  # rows are sorted, so only row 0 can be DCT row 0
             block[0] = 1.0 / np.sqrt(B)
         block *= np.sqrt(self.subsampling) * self._signs[idx]
@@ -169,15 +165,6 @@ class MeasurementEnsemble:
         signs = self._signs[idx]
         gram *= np.multiply.outer(signs, signs / self.rows)
         return gram
-
-
-@functools.lru_cache(maxsize=8)
-def _scaled_cosine_table(ambient_dim: int) -> np.ndarray:
-    """Read-only sqrt(2/B) * cos(pi * n / (2B)) for n = 0..4B-1."""
-    B = ambient_dim
-    table = np.sqrt(2.0 / B) * np.cos(np.pi * np.arange(4 * B) / (2.0 * B))
-    table.flags.writeable = False
-    return table
 
 
 def generate_ensemble(
@@ -284,6 +271,8 @@ def estimate_rip_constant(
             raise ValueError("too many supports for exhaustive enumeration")
         supports = combinations(range(B), W)
     elif mode == "sampled":
+        if int(n_supports) < 1:
+            raise ValueError("n_supports must be >= 1")
         rng = np.random.default_rng(rng_seed)
         supports = (rng.choice(B, size=W, replace=False) for _ in range(int(n_supports)))
     else:

@@ -281,6 +281,34 @@ class TestCliMain:
         data = json.loads(report.read_text())
         assert data["empirical"]["dr_linear"] >= data["closed_form"]["dr_linear"]
 
+    def test_dynamic_range_cs_path_smoke(self, tmp_path, capsys):
+        report = tmp_path / "dr.json"
+        code = main(["dynamic-range", "--bits", "8", "--target-snr", "100", "--path", "cs",
+                     "--ambient-dim", "64", "--rho", "4", "--out", str(report)])
+        assert code == 0
+        data = json.loads(report.read_text())
+        assert data["path"] == "cs"
+        assert data["empirical"]["beta_min"] < data["empirical"]["beta_max"]
+
+    @pytest.mark.parametrize("rho, exit_code", [(0, 3), (3, 4), (512, 4)])
+    def test_dynamic_range_cs_bad_rho_exit_code(self, rho, exit_code, capsys, monkeypatch):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("a spectrum was drawn")
+
+        monkeypatch.setattr("cslab.cli.signal_model.generate_bandlimited", no_compute)
+        code = main(["dynamic-range", "--bits", "8", "--target-snr", "100", "--path", "cs",
+                     "--ambient-dim", "256", "--rho", str(rho)])
+        assert code == exit_code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_rip_estimate_zero_supports_is_an_error(self, capsys):
+        code = main(["rip-estimate", "--ambient-dim", "32", "--measurements", "12",
+                     "--sparsity", "2", "--n-supports", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: n_supports must be >= 1\n"
+
     def test_quantizer_sweep_smoke(self, tmp_path, capsys):
         cfg = {"ambient_dim": 128, "band_width": 2, "rho_list": [1, 2], "isnr_targets_db": [],
                "trials_per_point": 3, "methods": ["oracle", "cosamp"],

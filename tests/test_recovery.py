@@ -287,6 +287,22 @@ class TestCosamp:
         out = cosamp(ens, ens.apply(sp.coeffs), 2)
         nptest.assert_allclose(out.coeffs_hat, sp.coeffs, atol=1e-8)
 
+    def test_residual_extracts_no_columns(self, monkeypatch):
+        # the residual comes from ens.apply; columns are only for gelsd
+        ens = generate_subsampled_dct_ensemble(256, 1024, 4)
+        sp = generate_bandlimited(1024, 4, "random", 5)
+        extracted = []
+        original = ens.columns
+
+        def counted(indices):
+            extracted.append(len(indices))
+            return original(indices)
+
+        monkeypatch.setattr(ens, "columns", counted)
+        out = cosamp(ens, ens.apply(sp.coeffs), 4)
+        assert extracted == []
+        nptest.assert_array_equal(out.support_hat, sp.support)
+
 
 class TestBandpassBaseline:
     def test_single_tone_exact_for_every_representable_bin(self):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cslab.sensing import (
     MeasurementEnsemble,
-    _scaled_cosine_table,
     estimate_rip_constant,
     generate_ensemble,
     generate_subsampled_dct_ensemble,
@@ -123,10 +122,12 @@ def _columns_by_cos(ens, idx):
 
 
 def _columns_by_int64_phase(ens, idx):
-    """Reference block: the same table gather with an int64 phase."""
+    """Reference block: a gather from the period-4B table of
+    sqrt(2/B) * cos(pi * n / (2B)) at the int64 phase n = q * (2j + 1)."""
     B = ens.cols
+    table = np.sqrt(2.0 / B) * np.cos(np.pi * np.arange(4 * B) / (2.0 * B))
     phase = np.multiply.outer(ens._selected.astype(np.int64), 2 * np.asarray(idx, dtype=np.int64) + 1)
-    block = _scaled_cosine_table(B)[phase % (4 * B)]
+    block = table[phase % (4 * B)]
     block[ens._selected == 0, :] = 1.0 / np.sqrt(B)
     block *= np.sqrt(ens.subsampling) * ens._signs[idx]
     return block
@@ -136,6 +137,8 @@ class TestColumnsCosineTable:
     @pytest.mark.parametrize("B, n_rows", [(8192, 8192), (8192, 4096), (8192, 256),
                                            (1024, 1024), (1024, 64), (37, 37), (37, 5)])
     def test_int32_phase_bit_identical_to_int64(self, B, n_rows):
+        # columns() against the table gather, bit for bit (the name dates from
+        # when columns() itself gathered from the table at an int32 phase)
         rng = np.random.default_rng(B + n_rows)
         drawn = generate_subsampled_dct_ensemble(n_rows, B, B * n_rows)
         # the same signs with DCT row 0 forced into the selected rows
@@ -148,8 +151,8 @@ class TestColumnsCosineTable:
 
     @pytest.mark.parametrize("B", [32768, 32769])
     def test_int64_phase_from_b_32768(self, B):
-        # 32768 is the first B with 2 * B * B >= 2**31, where the phase is
-        # reduced in int64; at 32769, row B - 1 times column B - 1 overflows int32
+        # 32768 is the first B with 2 * B * B >= 2**31; at 32769, row B - 1
+        # times column B - 1 would overflow an int32 phase
         rng = np.random.default_rng(B)
         signs = 2.0 * rng.integers(0, 2, size=B) - 1.0
         ens = MeasurementEnsemble(signs=signs, selected_rows=np.union1d(
@@ -178,13 +181,6 @@ class TestColumnsCosineTable:
         # a column's entries do not depend on the other columns extracted with it
         keep = np.sort(rng.choice(idx.size, (idx.size + 1) // 2, replace=False))
         nptest.assert_array_equal(block[:, keep], ens.columns(idx[keep]))
-
-    def test_table_cached_per_size_and_read_only(self):
-        table = _scaled_cosine_table(64)
-        assert table.shape == (256,)
-        assert _scaled_cosine_table(64) is table
-        with pytest.raises(ValueError):
-            table[0] = 0.0
 
 
 def _row_sets(B, rng):
@@ -335,6 +331,12 @@ class TestRipEstimate:
         ens = generate_ensemble(4, 16, "gaussian", 0)
         with pytest.raises(ValueError):
             estimate_rip_constant(ens, 5)
+
+    def test_sampled_needs_a_support(self, monkeypatch):
+        ens = generate_ensemble(12, 16, "gaussian", 31)
+        monkeypatch.setattr(np.random, "default_rng", None)  # nothing may be drawn
+        with pytest.raises(ValueError, match="n_supports must be >= 1"):
+            estimate_rip_constant(ens, 2, mode="sampled", n_supports=0)
 
     def test_exhaustive_guard(self):
         ens = generate_ensemble(40, 80, "gaussian", 0)
