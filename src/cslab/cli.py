@@ -38,9 +38,6 @@ from .results_io import (
     write_results,
 )
 
-_DESIGN_RULE_KEYS = {"ambient_dim", "band_width", "kappa0", "base_bits"}
-
-
 def _workers_from_env() -> int:
     """Validated CSLAB_THREADS value; the sweeps read 0 as one worker per CPU."""
     raw = os.environ.get("CSLAB_THREADS")
@@ -75,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--trials", type=int, default=None, help="override trials_per_point")
         p.add_argument("--out", default="cslab_results", help="output directory")
-        p.add_argument("--format", choices=["csv", "json"], default="csv", help="rows format")
 
     p = sub.add_parser("dynamic-range", help="closed-form and empirical dynamic range")
     p.add_argument("--bits", type=int, required=True)
@@ -102,10 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design-rules", help="evaluate the receiver design rules")
     p.add_argument("--config", default=None, help="JSON with ambient_dim/band_width/kappa0/base_bits")
-    p.add_argument("--ambient-dim", type=float, default=None)
-    p.add_argument("--band-width", type=float, default=None)
-    p.add_argument("--kappa0", type=float, default=None)
-    p.add_argument("--base-bits", type=float, default=None)
     p.add_argument("--out", default=None, help="optional JSON output path")
     return parser
 
@@ -121,8 +113,7 @@ def _cmd_sweep(args) -> int:
     Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the sweep
     result = run_sweep(cfg, n_workers=workers)
     summaries = []
-    paths = write_results(result, args.out, fmt=args.format, config_dict=data,
-                          summaries=summaries)
+    paths = write_results(result, args.out, config_dict=data, summaries=summaries)
     for point in summaries:
         print(
             f"rho={point.rho:>5} isnr={point.isnr_target_db} method={point.method:<8}"
@@ -140,6 +131,9 @@ def _cmd_dynamic_range(args) -> int:
         if args.ambient_dim % args.rho != 0:
             raise ConfigDivisibilityError(
                 f"--rho must divide --ambient-dim {args.ambient_dim}; got {args.rho}")
+        if args.ambient_dim // args.rho < args.band_width:
+            raise ConfigSchemaError(f"--rho {args.rho} leaves M={args.ambient_dim // args.rho}"
+                                    f" measurements, fewer than --band-width {args.band_width}")
     spec = quantization.QuantizerSpec(bits=args.bits, saturation=args.saturation)
     spectrum = signal_model.generate_bandlimited(
         args.ambient_dim, args.band_width, "random", args.seed)
@@ -203,14 +197,10 @@ def _cmd_design_rules(args) -> int:
     params = {"ambient_dim": 1e9, "band_width": 4e5, "kappa0": 0.5, "base_bits": 8.0}
     if args.config is not None:
         data = load_config_dict(args.config)
-        unknown = set(data) - _DESIGN_RULE_KEYS
+        unknown = set(data) - set(params)
         if unknown:
             raise ConfigSchemaError(f"unknown design-rule keys: {sorted(unknown)}")
         params.update(data)
-    for key in _DESIGN_RULE_KEYS:
-        flag = getattr(args, key)
-        if flag is not None:
-            params[key] = flag
     report = theory.design_rules(**params)
     reduced_rate = params["ambient_dim"] / report.rho_cs
     print(f"rho_max:            {report.rho_max:.6g}")

@@ -12,7 +12,8 @@ emitted rows are identical bit for bit, regardless of worker count or
 scheduling.  Every trial derives its own seed from
 (master_seed, point_index, trial_index) through a splitmix64 finalizer, work
 is split into fixed-size blocks that do not depend on the worker count, and
-blocks are reassembled in sorted key order.
+the blocks' rows are joined in submission order, which both the serial loop
+and ``Executor.map`` keep.
 
 A sweep runs numpy's OpenBLAS on one thread, serially and in every worker:
 its products are too small for a second BLAS thread to pay, and pooled
@@ -129,6 +130,10 @@ class SweepConfig:
             raise ValueError("trials_per_point must be >= 1")
         if not self.rho_list:
             raise ValueError("rho_list must be nonempty")
+        for name in ("rho_list", "isnr_targets_db"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {list(values)}")
         for r in self.rho_list:
             if r < 1 or self.ambient_dim % r != 0:
                 raise ValueError(f"every rho must divide ambient_dim; got {r}")
@@ -256,12 +261,12 @@ def _trial(cfg: SweepConfig, point_index: int, rho: int,
     return rows
 
 
-def _run_block(args) -> tuple:
+def _run_block(args) -> list[TrialRow]:
     cfg, point_index, rho, isnr_target, trial_lo, trial_hi = args
     rows = []
     for trial in range(trial_lo, trial_hi):
         rows.extend(_trial(cfg, point_index, rho, isnr_target, trial))
-    return (point_index, trial_lo), rows
+    return rows
 
 
 def _affinity_cpus() -> int:
@@ -272,11 +277,9 @@ def _affinity_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _resolve_workers(n_workers: int | None) -> int:
-    """Worker count for a sweep: None means serial, 0 one worker per CPU this
-    process may run on."""
-    if n_workers is None:
-        n_workers = 1
+def _resolve_workers(n_workers: int) -> int:
+    """Worker count for a sweep: 0 means one worker per CPU this process may
+    run on."""
     n_workers = int(n_workers)
     if n_workers == 0:
         n_workers = _affinity_cpus()
@@ -337,7 +340,7 @@ def _one_blas_thread():
             blas[1](before)
 
 
-def run_sweep(cfg: SweepConfig, n_workers: int | None = 1) -> ExperimentResult:
+def run_sweep(cfg: SweepConfig, n_workers: int = 1) -> ExperimentResult:
     """Sweep recovery SNR against subsampling.
 
     The points are rho x ISNR target, or rho alone when there are no targets;
@@ -356,15 +359,11 @@ def run_sweep(cfg: SweepConfig, n_workers: int | None = 1) -> ExperimentResult:
     workers = _resolve_workers(n_workers)
     with _one_blas_thread() as blas_threads:
         if workers == 1:
-            keyed = dict(_run_block(b) for b in blocks)
+            block_rows = [_run_block(b) for b in blocks]
         else:
-            keyed = {}
             with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads) as pool:
-                for key, rows in pool.map(_run_block, blocks):
-                    keyed[key] = rows
-    rows = []
-    for key in sorted(keyed):
-        rows.extend(keyed[key])
+                block_rows = list(pool.map(_run_block, blocks))
+    rows = [row for block in block_rows for row in block]
     environment = {
         "workers": workers,
         "blas_threads": blas_threads,
@@ -432,7 +431,6 @@ class ContainmentConfig:
 
 @dataclass
 class ContainmentReport:
-    delta_hat_raw: float
     delta_hat: float
     oracle_error_mean: float
     oracle_error_bounds: tuple
@@ -470,9 +468,7 @@ def run_bound_containment(cfg: ContainmentConfig) -> ContainmentReport:
     c_ens, c_trials = ss.spawn(2)
     rng = np.random.default_rng(c_trials)
 
-    raw = sensing.generate_ensemble(M, B, "gaussian", c_ens)
-    delta_raw = sensing.estimate_rip_constant(raw, W, mode="exhaustive")
-    ens = sensing.orthogonalize_rows(raw)
+    ens = sensing.orthogonalize_rows(sensing.generate_ensemble(M, B, "gaussian", c_ens))
     delta_hat = sensing.estimate_rip_constant(ens, W, mode="exhaustive")
     rho = B / M
     oracle_bounds = theory.expected_oracle_error_bounds(W, cfg.measurement_noise_var, delta_hat)
@@ -527,7 +523,6 @@ def run_bound_containment(cfg: ContainmentConfig) -> ContainmentReport:
     offdiag_rel = float(np.max(np.abs(off)) / target_var)
 
     return ContainmentReport(
-        delta_hat_raw=float(delta_raw),
         delta_hat=float(delta_hat),
         oracle_error_mean=float(oracle_err_mean),
         oracle_error_bounds=oracle_bounds,

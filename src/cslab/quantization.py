@@ -56,7 +56,6 @@ class DynamicRangeResult:
     beta_max: float
     dr_linear: float
     dr_db: float
-    method: str  # "closed_form" or "empirical_search"
 
 
 def quantize(spec: QuantizerSpec, values: np.ndarray) -> np.ndarray:
@@ -115,7 +114,6 @@ def dynamic_range_closed_form(
         beta_max=float(beta_max),
         dr_linear=float(dr),
         dr_db=float(10.0 * np.log10(dr)),
-        method="closed_form",
     )
 
 
@@ -193,5 +191,4 @@ def dynamic_range_empirical(
         beta_max=float(beta_max),
         dr_linear=float(dr),
         dr_db=float(10.0 * np.log10(dr)),
-        method="empirical_search",
     )

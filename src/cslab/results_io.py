@@ -187,14 +187,14 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
-                  config_dict: dict | None = None, summaries: list | None = None) -> dict:
-    """Persist a sweep: rows (csv or json), JSON summary of per-point means,
-    a plot-data CSV of (log2 rho, mean rsnr dB) series per method, and a run
+def write_results(result: ExperimentResult, out_dir, config_dict: dict | None = None,
+                  summaries: list | None = None) -> dict:
+    """Persist a sweep: rows.csv, a JSON summary of per-point means, a
+    plot-data CSV of (log2 rho, mean rsnr dB) series per method, and a run
     manifest.  Returns the written paths.
 
-    Rows, summary, and plot data are byte-deterministic for identical
-    (result, fmt); the manifest carries a wall-clock timestamp and the
+    Rows, summary, and plot data are byte-deterministic for an identical
+    result; the manifest carries a wall-clock timestamp and the
     sweep's runtime environment (worker count, BLAS threads, affinity CPUs,
     library versions).  Each file is written to a temporary file in
     ``out_dir`` and renamed into place, so a failed run never leaves a partly
@@ -202,21 +202,13 @@ def write_results(result: ExperimentResult, out_dir, fmt: str = "csv",
     written to summary.json are appended to it, so a caller can report them
     without reading the file back.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError("format must be 'csv' or 'json'")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
 
     csv_text = rows_to_csv_text(result.rows)
-    if fmt == "csv":
-        rows_path = out / "rows.csv"
-        _write_atomic(rows_path, csv_text)
-    else:
-        rows_path = out / "rows.json"
-        payload = [dict(zip(CSV_HEADER.split(","), _row_to_fields(r))) for r in result.rows]
-        _write_atomic(rows_path, json.dumps(payload, indent=1) + "\n")
-    paths["rows"] = rows_path
+    paths["rows"] = out / "rows.csv"
+    _write_atomic(paths["rows"], csv_text)
 
     # aggregate from the serialized precision so persisted rows reproduce it
     rounded = [_fields_to_row(line.split(",")) for line in csv_text.splitlines()[1:]]

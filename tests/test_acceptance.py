@@ -261,8 +261,7 @@ def test_criterion_9_determinism_across_workers(tmp_path):
     outputs = {}
     for workers in (1, 4, 8):
         result = run_sweep(_criterion1_config(), n_workers=workers)
-        paths = write_results(result, tmp_path / f"w{workers}", fmt="csv",
-                              config_dict={"criterion": 1})
+        paths = write_results(result, tmp_path / f"w{workers}", config_dict={"criterion": 1})
         outputs[workers] = (paths["rows"].read_bytes(), paths["summary"].read_bytes(),
                             paths["plot"].read_bytes())
     ok = outputs[1] == outputs[4] == outputs[8]

@@ -105,7 +105,7 @@ class TestWriteResults:
     def test_empty_result_is_header_only(self, tmp_path):
         res = _tiny_result()
         res.rows = []
-        paths = write_results(res, tmp_path, "csv")
+        paths = write_results(res, tmp_path)
         assert Path(paths["rows"]).read_text() == CSV_HEADER + "\n"
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
@@ -118,13 +118,13 @@ class TestWriteResults:
 
         monkeypatch.setattr(Path, "write_text", write_half_then_fail)
         with pytest.raises(OSError, match="No space left"):
-            write_results(_tiny_result(), tmp_path, "csv")
+            write_results(_tiny_result(), tmp_path)
         monkeypatch.undo()
         assert (tmp_path / "rows.csv").read_text() == "earlier run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
 
     def test_round_trip_reproduces_rows(self, tmp_path):
-        paths = write_results(_tiny_result(), tmp_path, "csv")
+        paths = write_results(_tiny_result(), tmp_path)
         rows = read_rows_csv(paths["rows"])
         assert len(rows) == 2
         assert rows[0].rsnr_db == pytest.approx(38.7654, rel=1e-9)
@@ -132,11 +132,11 @@ class TestWriteResults:
         # serializing the parsed rows again is byte-identical
         res2 = _tiny_result()
         res2.rows = rows
-        paths2 = write_results(res2, tmp_path / "again", "csv")
+        paths2 = write_results(res2, tmp_path / "again")
         assert Path(paths2["rows"]).read_bytes() == Path(paths["rows"]).read_bytes()
 
     def test_summary_recomputable_from_persisted_rows(self, tmp_path):
-        paths = write_results(_tiny_result(), tmp_path, "csv")
+        paths = write_results(_tiny_result(), tmp_path)
         recomputed = aggregate(read_rows_csv(paths["rows"]))
         stored = json.loads(Path(paths["summary"]).read_text())["points"]
         assert len(stored) == len(recomputed) == 1
@@ -144,19 +144,13 @@ class TestWriteResults:
         assert stored[0]["n_failed"] == 1
 
     def test_plot_data_columns(self, tmp_path):
-        paths = write_results(_tiny_result(), tmp_path, "csv")
+        paths = write_results(_tiny_result(), tmp_path)
         lines = Path(paths["plot"]).read_text().splitlines()
         assert lines[0] == "method,isnr_target_db,log2_rho,mean_rsnr_db"
         assert lines[1].startswith("oracle,40,1,")
 
-    def test_json_rows_format(self, tmp_path):
-        paths = write_results(_tiny_result(), tmp_path, "json")
-        payload = json.loads(Path(paths["rows"]).read_text())
-        assert payload[0]["rho"] == "2"
-        assert payload[0]["support_exact"] == "true"
-
     def test_manifest_fields(self, tmp_path):
-        paths = write_results(_tiny_result(), tmp_path, "csv", config_dict={"ambient_dim": 64})
+        paths = write_results(_tiny_result(), tmp_path, config_dict={"ambient_dim": 64})
         manifest = json.loads(Path(paths["manifest"]).read_text())
         assert manifest["tool_version"] == __version__
         assert manifest["master_seed"] == 1
@@ -179,10 +173,23 @@ class TestCliMain:
         assert "22.03" in out
         assert "6.25924e+06" in out
 
-    def test_design_rules_flag_overrides(self, capsys):
-        code = main(["design-rules", "--ambient-dim", "64", "--band-width", "64"])
+    def test_design_rules_flag_overrides(self, tmp_path, capsys):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({"ambient_dim": 64, "band_width": 64}))
+        code = main(["design-rules", "--config", str(path)])
         assert code == 0
         assert "rho_cs:             1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["noise-folding", "--config", str(REPO / "configs" / "noise_folding.json"),
+         "--trials", "1", "--format", "json"],
+        ["design-rules", "--kappa0", "1"],
+    ])
+    def test_removed_flags_are_usage_errors(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         code = main(["noise-folding", "--config", str(tmp_path / "nope.json")])
@@ -204,6 +211,19 @@ class TestCliMain:
                                     "methods": ["oracle"]}))
         assert main(["noise-folding", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "oracle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, values", [("rho_list", [4, 4]),
+                                             ("isnr_targets_db", [40, 40.0])])
+    def test_repeated_sweep_value_exit_code(self, key, values, tmp_path, capsys):
+        cfg = {"ambient_dim": 64, "band_width": 2, "rho_list": [2, 4],
+               "isnr_targets_db": [20, 40], key: values}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "o"
+        assert main(["noise-folding", "--config", str(path), "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} repeats a value") and err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_bandpass_with_quantizer_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -290,7 +310,7 @@ class TestCliMain:
         assert data["path"] == "cs"
         assert data["empirical"]["beta_min"] < data["empirical"]["beta_max"]
 
-    @pytest.mark.parametrize("rho, exit_code", [(0, 3), (3, 4), (512, 4)])
+    @pytest.mark.parametrize("rho, exit_code", [(0, 3), (3, 4), (512, 4), (128, 3)])
     def test_dynamic_range_cs_bad_rho_exit_code(self, rho, exit_code, capsys, monkeypatch):
         def no_compute(*args, **kwargs):
             raise AssertionError("a spectrum was drawn")

@@ -47,7 +47,6 @@ class TestResolveWorkers:
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
         assert experiments._resolve_workers(0) == 3
-        assert experiments._resolve_workers(None) == 1
         assert experiments._resolve_workers(2) == 2
 
     def test_zero_without_affinity_api_counts_all_cpus(self, monkeypatch):
@@ -274,8 +273,7 @@ def _blas_threads() -> int:
 def _block_reporting_blas_threads(args):
     """Stand-in for ``experiments._run_block``: one row, the BLAS thread count
     of the process that ran the block."""
-    _cfg, point_index, _rho, _isnr_target, trial_lo, _trial_hi = args
-    return (point_index, trial_lo), [_blas_threads()]
+    return [_blas_threads()]
 
 
 @pytest.fixture
@@ -382,6 +380,21 @@ class TestBoundContainment:
         assert rep.oracle_error_mean == pytest.approx(rep.oracle_error_bounds[0], rel=0.05)
         assert rep.msnr_over_isnr == pytest.approx(2 / 16, rel=0.05)
         assert rep.whiteness_ok
+
+    def test_one_isometry_estimate_of_the_orthogonalized_ensemble(self, monkeypatch):
+        estimate = sensing.estimate_rip_constant
+        seen = []
+
+        def counted(ens, *args, **kwargs):
+            seen.append(ens)
+            return estimate(ens, *args, **kwargs)
+
+        monkeypatch.setattr(sensing, "estimate_rip_constant", counted)
+        rep = run_bound_containment(ContainmentConfig(trials=10))
+        assert len(seen) == 1
+        # orthogonalized rows of the default B=32, M=16 instance: R R^T = (B/M) I
+        np.testing.assert_allclose(seen[0].matrix @ seen[0].matrix.T, 2 * np.eye(16), atol=1e-12)
+        assert rep.delta_hat == estimate(seen[0], 2, mode="exhaustive")
 
     def test_isometry_constant_above_one_fails_before_trials(self, monkeypatch):
         # B=32, M=8, W=2 at seed 0 has an exhaustive delta of about 1.65

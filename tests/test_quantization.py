@@ -106,7 +106,6 @@ class TestDynamicRangeClosedForm:
         res = dynamic_range_closed_form(q, x, 100.0)
         assert res.dr_linear == pytest.approx(65535 / 199)
         assert res.dr_db == pytest.approx(10 * np.log10(65535 / 199))
-        assert res.method == "closed_form"
 
     def test_interval_contains_full_range_anchor(self):
         q = QuantizerSpec(bits=6, saturation=2.0)
