@@ -29,7 +29,6 @@ from . import quantization, recovery, sensing, signal_model, theory
 from .experiments import run_sweep
 from .metrics import rsnr
 from .results_io import (
-    ConfigDivisibilityError,
     ConfigFileError,
     ConfigSchemaError,
     _write_atomic,
@@ -125,15 +124,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_dynamic_range(args) -> int:
-    if args.path == "cs":  # checked before any compute, like a sweep config's rho_list
-        if args.rho < 1:
-            raise ConfigSchemaError(f"--rho must be >= 1; got {args.rho}")
-        if args.ambient_dim % args.rho != 0:
-            raise ConfigDivisibilityError(
-                f"--rho must divide --ambient-dim {args.ambient_dim}; got {args.rho}")
-        if args.ambient_dim // args.rho < args.band_width:
-            raise ConfigSchemaError(f"--rho {args.rho} leaves M={args.ambient_dim // args.rho}"
-                                    f" measurements, fewer than --band-width {args.band_width}")
+    # each path is one point of an oracle quantizer sweep (conventional: rho 1)
+    build_sweep_config({
+        "ambient_dim": args.ambient_dim, "band_width": args.band_width,
+        "rho_list": [args.rho if args.path == "cs" else 1], "methods": ["oracle"],
+        "quantizer": {"base_bits": args.bits, "saturation": args.saturation}})
     spec = quantization.QuantizerSpec(bits=args.bits, saturation=args.saturation)
     spectrum = signal_model.generate_bandlimited(
         args.ambient_dim, args.band_width, "random", args.seed)
@@ -201,7 +196,10 @@ def _cmd_design_rules(args) -> int:
         if unknown:
             raise ConfigSchemaError(f"unknown design-rule keys: {sorted(unknown)}")
         params.update(data)
-    report = theory.design_rules(**params)
+    try:
+        report = theory.design_rules(**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigSchemaError(f"invalid design-rule config: {exc}") from exc
     reduced_rate = params["ambient_dim"] / report.rho_cs
     print(f"rho_max:            {report.rho_max:.6g}")
     print(f"rho_cs:             {report.rho_cs:.6g}")
@@ -232,12 +230,9 @@ def main(argv=None) -> int:
         if args.command == "design-rules":
             return _cmd_design_rules(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigFileError, ConfigSchemaError, ConfigDivisibilityError) as exc:
+    except (ConfigFileError, ConfigSchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (ValueError, np.linalg.LinAlgError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
     return 0
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import operator
 import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
@@ -39,6 +40,7 @@ from . import metrics, quantization, recovery, sensing, signal_model, theory
 
 __all__ = [
     "METHODS",
+    "ConfigDivisibilityError",
     "QuantizerSweepSpec",
     "SweepConfig",
     "ContainmentConfig",
@@ -85,6 +87,20 @@ def derive_trial_seed(master_seed: int, point_index: int, trial_index: int) -> i
     return _mix64(h ^ (point_index << 32) ^ trial_index)
 
 
+class ConfigDivisibilityError(ValueError):
+    """A rho value does not divide the ambient dimension (exit code 4)."""
+
+    exit_code = 4
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as an int; anything else is a TypeError that names ``key``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{key} must be an integer; got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class QuantizerSweepSpec:
     """Quantizer policy of a sweep.
@@ -119,7 +135,10 @@ class SweepConfig:
     quantizer: QuantizerSweepSpec | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rho_list", tuple(int(r) for r in self.rho_list))
+        for key in ("ambient_dim", "band_width", "trials_per_point", "master_seed"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        rho_list = tuple(_integer("every rho_list value", r) for r in self.rho_list)
+        object.__setattr__(self, "rho_list", rho_list)
         object.__setattr__(self, "isnr_targets_db", tuple(float(v) for v in self.isnr_targets_db))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.ambient_dim < 1 or self.band_width < 1:
@@ -134,9 +153,12 @@ class SweepConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {list(values)}")
+        if min(self.rho_list) < 1:
+            raise ValueError(f"every rho_list value must be >= 1; got {min(self.rho_list)}")
         for r in self.rho_list:
-            if r < 1 or self.ambient_dim % r != 0:
-                raise ValueError(f"every rho must divide ambient_dim; got {r}")
+            if self.ambient_dim % r != 0:
+                raise ConfigDivisibilityError(
+                    f"every rho_list value must divide ambient_dim {self.ambient_dim}; got {r}")
         if not self.methods or any(m not in METHODS for m in self.methods):
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
         n_fewest = self.ambient_dim // max(self.rho_list)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import rsnr
 from .signal_model import par
 
 __all__ = [
@@ -67,21 +68,10 @@ def quantize(spec: QuantizerSpec, values: np.ndarray) -> np.ndarray:
 
 
 def sqnr(spec: QuantizerSpec, values: np.ndarray) -> float:
-    """Signal-to-quantization-noise ratio ||v||^2 / ||v - Q(v)||^2 (linear)."""
+    """Signal-to-quantization-noise ratio ||v||^2 / ||v - Q(v)||^2 (linear): the
+    recovered SNR of Q(v) as an estimate of v, so a zero v is a ValueError."""
     v = np.asarray(values, dtype=float)
-    energy = float(v @ v)
-    if energy == 0.0:
-        raise ValueError("SQNR is undefined for the zero vector")
-    err = v - quantize(spec, v)
-    err_energy = float(err @ err)
-    if err_energy == 0.0:
-        return float("inf")
-    return energy / err_energy
-
-
-def _admissible_snr_ceiling(spec: QuantizerSpec, gamma: float) -> float:
-    levels = 2.0 * spec.saturation / spec.interval  # == 2^bits
-    return levels**2 / gamma**2
+    return rsnr(v, quantize(spec, v))
 
 
 def dynamic_range_closed_form(
@@ -96,7 +86,8 @@ def dynamic_range_closed_form(
     """
     v = np.asarray(x, dtype=float)
     gamma = par(v)
-    ceiling = _admissible_snr_ceiling(spec, gamma)
+    levels = 2.0**spec.bits  # 2G/Delta, exactly
+    ceiling = levels**2 / gamma**2
     if not 1.0 < target_snr <= ceiling:
         raise ValueError(
             f"target_snr must lie in (1, {ceiling:.6g}] for this signal and quantizer"
@@ -108,7 +99,7 @@ def dynamic_range_closed_form(
     beta_min = np.sqrt(target_snr * B * half**2 / energy)
     beta_max_sq = (target_snr * B / energy) * (G**2 - half**2) / (target_snr * gamma**2 - 1.0)
     beta_max = np.sqrt(beta_max_sq)
-    dr = ((2.0 * G / spec.interval) ** 2 - 1.0) / (target_snr * gamma**2 - 1.0)
+    dr = (levels**2 - 1.0) / (target_snr * gamma**2 - 1.0)
     return DynamicRangeResult(
         beta_min=float(beta_min),
         beta_max=float(beta_max),

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    ConfigDivisibilityError,
     ExperimentResult,
     QuantizerSweepSpec,
     SweepConfig,
@@ -51,12 +52,6 @@ class ConfigSchemaError(Exception):
     """Config violates the schema (exit code 3)."""
 
     exit_code = 3
-
-
-class ConfigDivisibilityError(Exception):
-    """A rho value does not divide the ambient dimension (exit code 4)."""
-
-    exit_code = 4
 
 
 CSV_HEADER = "rho,isnr_target_db,method,trial,seed,isnr_db,msnr_db,rsnr_db,support_exact,bits"
@@ -110,14 +105,11 @@ def build_sweep_config(data: dict) -> SweepConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigSchemaError(f"invalid quantizer: {exc}") from exc
     try:
-        cfg = SweepConfig(quantizer=quantizer, **kwargs)
-    except ValueError as exc:
-        if "divide" in str(exc):
-            raise ConfigDivisibilityError(str(exc)) from exc
+        return SweepConfig(quantizer=quantizer, **kwargs)
+    except ConfigDivisibilityError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigSchemaError(str(exc)) from exc
-    except TypeError as exc:
-        raise ConfigSchemaError(str(exc)) from exc
-    return cfg
 
 
 def config_hash(data: dict) -> str:
@@ -206,17 +198,13 @@ def write_results(result: ExperimentResult, out_dir, config_dict: dict | None = 
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
 
-    csv_text = rows_to_csv_text(result.rows)
     paths["rows"] = out / "rows.csv"
-    _write_atomic(paths["rows"], csv_text)
+    _write_atomic(paths["rows"], rows_to_csv_text(result.rows))
 
-    # aggregate from the serialized precision so persisted rows reproduce it
-    rounded = [_fields_to_row(line.split(",")) for line in csv_text.splitlines()[1:]]
-    points = aggregate(rounded)
-    summary_path = out / "summary.json"
-    _write_atomic(summary_path, json.dumps(
+    points = aggregate(read_rows_csv(paths["rows"]))
+    paths["summary"] = out / "summary.json"
+    _write_atomic(paths["summary"], json.dumps(
         {"points": [asdict(s) for s in points]}, indent=1) + "\n")
-    paths["summary"] = summary_path
     if summaries is not None:
         summaries.extend(points)
 
@@ -228,9 +216,8 @@ def write_results(result: ExperimentResult, out_dir, config_dict: dict | None = 
             format_number(float(np.log2(s.rho))),
             format_number(s.mean_rsnr_db),
         ]))
-    plot_path = out / "plotdata.csv"
-    _write_atomic(plot_path, "\n".join(plot_lines) + "\n")
-    paths["plot"] = plot_path
+    paths["plot"] = out / "plotdata.csv"
+    _write_atomic(paths["plot"], "\n".join(plot_lines) + "\n")
 
     manifest = {
         "config_hash": config_hash(config_dict) if config_dict is not None else None,

@@ -113,6 +113,10 @@ def design_rules(
         raise ValueError("ambient_dim and band_width must be positive")
     if band_width > ambient_dim:
         raise ValueError("band_width cannot exceed ambient_dim")
+    if kappa0 <= 0:
+        raise ValueError(f"kappa0 must be positive; got {kappa0}")
+    if base_bits < 1:
+        raise ValueError(f"base_bits must be >= 1; got {base_bits}")
     rmax = ambient_dim / band_width
     rcs = rho_cs(rmax, kappa0)
     nf_db = 10.0 * math.log10(rcs)

@@ -212,18 +212,36 @@ class TestCliMain:
         assert main(["noise-folding", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "oracle" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, values", [("rho_list", [4, 4]),
-                                             ("isnr_targets_db", [40, 40.0])])
-    def test_repeated_sweep_value_exit_code(self, key, values, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value, message", [
+        ("rho_list", [4, 4], "rho_list repeats a value"),
+        ("isnr_targets_db", [40, 40.0], "isnr_targets_db repeats a value"),
+        ("rho_list", [2.7], "every rho_list value must be an integer"),
+        ("rho_list", [0], "every rho_list value must be >= 1"),
+        ("band_width", 2.5, "band_width must be an integer"),
+        ("trials_per_point", 2.5, "trials_per_point must be an integer"),
+        ("master_seed", 1.5, "master_seed must be an integer"),
+    ], ids=["repeated_rho", "repeated_isnr", "float_rho", "zero_rho", "float_band_width",
+            "float_trials", "float_seed"])
+    def test_bad_sweep_value_exit_code(self, key, value, message, tmp_path, capsys):
         cfg = {"ambient_dim": 64, "band_width": 2, "rho_list": [2, 4],
-               "isnr_targets_db": [20, 40], key: values}
+               "isnr_targets_db": [20, 40], key: value}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         out_dir = tmp_path / "o"
         assert main(["noise-folding", "--config", str(path), "--out", str(out_dir)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} repeats a value") and err.count("\n") == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("config", [{"ambient_dim": "1e9"},
+                                        {"ambient_dim": 10, "band_width": 20},
+                                        {"kappa0": 0}, {"base_bits": 0}])
+    def test_design_rules_bad_config_exit_code(self, config, tmp_path, capsys):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(config))
+        assert main(["design-rules", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bandpass_with_quantizer_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -310,18 +328,32 @@ class TestCliMain:
         assert data["path"] == "cs"
         assert data["empirical"]["beta_min"] < data["empirical"]["beta_max"]
 
-    @pytest.mark.parametrize("rho, exit_code", [(0, 3), (3, 4), (512, 4), (128, 3)])
-    def test_dynamic_range_cs_bad_rho_exit_code(self, rho, exit_code, capsys, monkeypatch):
+    @pytest.fixture
+    def no_compute(self, monkeypatch):
         def no_compute(*args, **kwargs):
             raise AssertionError("a spectrum was drawn")
 
         monkeypatch.setattr("cslab.cli.signal_model.generate_bandlimited", no_compute)
+
+    @pytest.mark.parametrize("rho, exit_code", [(0, 3), (3, 4), (512, 4), (128, 3)])
+    def test_dynamic_range_cs_bad_rho_exit_code(self, rho, exit_code, capsys, no_compute):
         code = main(["dynamic-range", "--bits", "8", "--target-snr", "100", "--path", "cs",
                      "--ambient-dim", "256", "--rho", str(rho)])
         assert code == exit_code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path", ["conventional", "cs"])
+    @pytest.mark.parametrize("flags, key", [(["--bits", "0"], "base_bits"),
+                                            (["--band-width", "0"], "band_width"),
+                                            (["--ambient-dim", "2"], "band_width")])
+    def test_dynamic_range_bad_value_exit_code(self, path, flags, key, capsys, no_compute):
+        code = main(["dynamic-range", "--bits", "8", "--target-snr", "100", "--path", path,
+                     "--rho", "1", *flags])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
 
     def test_rip_estimate_zero_supports_is_an_error(self, capsys):
         code = main(["rip-estimate", "--ambient-dim", "32", "--measurements", "12",

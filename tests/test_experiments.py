@@ -8,6 +8,7 @@ import pytest
 from cslab import experiments, recovery, sensing
 from cslab.experiments import (
     METHODS,
+    ConfigDivisibilityError,
     ContainmentConfig,
     QuantizerSweepSpec,
     SweepConfig,
@@ -59,8 +60,17 @@ class TestResolveWorkers:
 
 class TestSweepConfig:
     def test_non_divisor_rho_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigDivisibilityError) as info:
             SweepConfig(ambient_dim=8192, rho_list=(3,))
+        assert isinstance(info.value, ValueError)
+
+    def test_integer_fields_take_numpy_integers_and_reject_floats(self):
+        cfg = SweepConfig(ambient_dim=np.int64(64), band_width=np.int32(2),
+                          rho_list=(np.int64(2),), trials_per_point=np.uint8(3))
+        assert (cfg.ambient_dim, cfg.band_width, cfg.rho_list) == (64, 2, (2,))
+        assert type(cfg.ambient_dim) is int and type(cfg.rho_list[0]) is int
+        with pytest.raises(TypeError, match="every rho_list value must be an integer"):
+            SweepConfig(ambient_dim=64, band_width=2, rho_list=(2.0,))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

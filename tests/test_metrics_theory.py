@@ -122,6 +122,13 @@ class TestDesignRules:
         assert rep.rho_cs == 1.0
         assert rep.noise_figure_db == 0.0
 
+    @pytest.mark.parametrize("kwargs, key", [({"kappa0": 0.0}, "kappa0"),
+                                             ({"kappa0": -0.5}, "kappa0"),
+                                             ({"base_bits": 0}, "base_bits")])
+    def test_rejects_nonpositive_kappa0_and_base_bits_below_one(self, kwargs, key):
+        with pytest.raises(ValueError, match=key):
+            theory.design_rules(1e9, 4e5, **kwargs)
+
     def test_noise_figure_matches_rho_cs(self):
         rep = theory.design_rules(4096, 4)
         assert rep.noise_figure_db == pytest.approx(10 * math.log10(rep.rho_cs))
