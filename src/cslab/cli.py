@@ -8,9 +8,9 @@ accept --seed / --trials overrides, and persist rows, summary, plot data,
 and a run manifest into --out.  The CSLAB_THREADS environment variable caps
 the worker count (0 = one worker per CPU; unset = serial).  Sweeps run
 numpy's OpenBLAS on one thread, serially and in every worker: a second BLAS
-thread doubled the quantization sweep's CPU time without speeding it up, and
-made two workers slower than one.  A user-set OPENBLAS_NUM_THREADS or
-OMP_NUM_THREADS is respected.
+thread, woken by LAPACK's eigh and gelsd, nearly doubled the quantization
+sweep's CPU time without speeding it up, and made two workers slower than
+one.  A user-set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is respected.
 """
 
 from __future__ import annotations
@@ -137,8 +137,7 @@ def _cmd_dynamic_range(args) -> int:
               "par": signal_model.par(x), "path": args.path}
 
     closed = quantization.dynamic_range_closed_form(spec, x, args.target_snr)
-    report["closed_form"] = {"beta_min": closed.beta_min, "beta_max": closed.beta_max,
-                             "dr_linear": closed.dr_linear, "dr_db": closed.dr_db}
+    report["closed_form"] = asdict(closed)
     if args.path == "conventional":
         emp = quantization.dynamic_range_empirical(spec, x, args.target_snr)
     else:
@@ -156,8 +155,7 @@ def _cmd_dynamic_range(args) -> int:
         emp = quantization.dynamic_range_empirical(
             spec, x, args.target_snr, snr_fn=recovery_snr,
             anchor=spec.saturation / float(np.max(np.abs(y))))
-    report["empirical"] = {"beta_min": emp.beta_min, "beta_max": emp.beta_max,
-                           "dr_linear": emp.dr_linear, "dr_db": emp.dr_db}
+    report["empirical"] = asdict(emp)
     print(f"closed-form dynamic range: {closed.dr_db:.2f} dB "
           f"(beta in [{closed.beta_min:.4g}, {closed.beta_max:.4g}])")
     print(f"empirical dynamic range ({args.path}): {emp.dr_db:.2f} dB "
@@ -195,10 +193,13 @@ def _cmd_design_rules(args) -> int:
         unknown = set(data) - set(params)
         if unknown:
             raise ConfigSchemaError(f"unknown design-rule keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigSchemaError(f"{key} must be a number; got {value!r}")
         params.update(data)
     try:
         report = theory.design_rules(**params)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigSchemaError(f"invalid design-rule config: {exc}") from exc
     reduced_rate = params["ambient_dim"] / report.rho_cs
     print(f"rho_max:            {report.rho_max:.6g}")

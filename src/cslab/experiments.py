@@ -16,8 +16,9 @@ the blocks' rows are joined in submission order, which both the serial loop
 and ``Executor.map`` keep.
 
 A sweep runs numpy's OpenBLAS on one thread, serially and in every worker:
-its products are too small for a second BLAS thread to pay, and pooled
-workers would oversubscribe the cores.  A user-set OPENBLAS_NUM_THREADS or
+its LAPACK calls (eigh on a Gram of a few dozen columns, gelsd on a column
+block) are too small for a second BLAS thread to pay, and pooled workers
+would oversubscribe the cores.  A user-set OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS is left in force.
 """
 
@@ -94,11 +95,12 @@ class ConfigDivisibilityError(ValueError):
 
 
 def _integer(key: str, value) -> int:
-    """``value`` as an int; anything else is a TypeError that names ``key``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{key} must be an integer; got {value!r}") from None
+    """``value`` as an int; anything else, a bool included, is a TypeError
+    that names ``key``."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise TypeError(f"{key} must be an integer; got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,7 @@ class QuantizerSweepSpec:
     saturation: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "base_bits", _integer("base_bits", self.base_bits))
         if self.base_bits < 1:
             raise ValueError("base_bits must be >= 1")
         if self.saturation <= 0:
@@ -176,7 +179,12 @@ class SweepConfig:
 
 @dataclass
 class TrialRow:
-    """One (point, method, trial) record of a sweep."""
+    """One (point, method, trial) record of a sweep.
+
+    The field order and declared types are the ``rows.csv`` format:
+    ``results_io`` writes one column per field and parses each column by
+    its field's type.
+    """
 
     rho: int
     isnr_target_db: float | None

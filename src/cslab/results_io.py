@@ -1,10 +1,11 @@
 """Config ingestion and result persistence.
 
 Configs are JSON key-value trees validated strictly (unknown keys rejected).
-Row files use a fixed CSV header; numeric fields are serialized with 6
-significant digits in fixed notation.  Summaries are computed from the
-serialized (rounded) row values so that re-aggregating a persisted file
-reproduces the summary exactly.
+Row files have one column per ``TrialRow`` field, in declaration order, and
+each column is parsed by its field's declared type; numeric fields are
+serialized with 6 significant digits in fixed notation.  Summaries are
+computed from the serialized (rounded) row values so that re-aggregating a
+persisted file reproduces the summary exactly.
 """
 
 from __future__ import annotations
@@ -54,13 +55,25 @@ class ConfigSchemaError(Exception):
     exit_code = 3
 
 
-CSV_HEADER = "rho,isnr_target_db,method,trial,seed,isnr_db,msnr_db,rsnr_db,support_exact,bits"
+_COLUMNS = fields(TrialRow)
+CSV_HEADER = ",".join(f.name for f in _COLUMNS)
+
+# one parser per declared TrialRow field type (annotations are strings here)
+_PARSERS = {
+    "int": int,
+    "str": str,
+    "bool": lambda text: text == "true",
+    "float | None": lambda text: None if text == "" else float(text),
+    "int | None": lambda text: None if text == "" else int(text),
+}
 
 
 def format_number(value) -> str:
-    """Serialize a numeric field: 6 significant digits, fixed notation."""
+    """Serialize a field: 6 significant digits, fixed notation; strings as they are."""
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -118,43 +131,9 @@ def config_hash(data: dict) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-def _row_to_fields(row: TrialRow) -> list[str]:
-    return [
-        format_number(row.rho),
-        format_number(row.isnr_target_db),
-        row.method,
-        format_number(row.trial),
-        format_number(row.seed),
-        format_number(row.isnr_db),
-        format_number(row.msnr_db),
-        format_number(row.rsnr_db),
-        format_number(row.support_exact),
-        format_number(row.bits),
-    ]
-
-
-def _parse_opt_float(text: str) -> float | None:
-    return None if text == "" else float(text)
-
-
-def _fields_to_row(fields: list[str]) -> TrialRow:
-    return TrialRow(
-        rho=int(fields[0]),
-        isnr_target_db=_parse_opt_float(fields[1]),
-        method=fields[2],
-        trial=int(fields[3]),
-        seed=int(fields[4]),
-        isnr_db=_parse_opt_float(fields[5]),
-        msnr_db=_parse_opt_float(fields[6]),
-        rsnr_db=_parse_opt_float(fields[7]),
-        support_exact=fields[8] == "true",
-        bits=None if fields[9] == "" else int(fields[9]),
-    )
-
-
 def rows_to_csv_text(rows) -> str:
     lines = [CSV_HEADER]
-    lines.extend(",".join(_row_to_fields(r)) for r in rows)
+    lines.extend(",".join(format_number(getattr(r, f.name)) for f in _COLUMNS) for r in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -164,7 +143,9 @@ def read_rows_csv(path) -> list[TrialRow]:
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized rows CSV header")
-    return [_fields_to_row(ln.split(",")) for ln in lines[1:]]
+    parsers = [_PARSERS[f.type] for f in _COLUMNS]
+    return [TrialRow(*(parse(cell) for parse, cell in zip(parsers, ln.split(","), strict=True)))
+            for ln in lines[1:]]
 
 
 def _write_atomic(path: Path, text: str) -> None:

@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cslab import __version__, experiments
 from cslab.cli import main
-from cslab.experiments import ExperimentResult, SweepConfig, TrialRow, aggregate
+from cslab.experiments import METHODS, ExperimentResult, SweepConfig, TrialRow, aggregate
 from cslab.results_io import (
     CSV_HEADER,
     ConfigDivisibilityError,
@@ -22,6 +24,7 @@ from cslab.results_io import (
     format_number,
     load_config_dict,
     read_rows_csv,
+    rows_to_csv_text,
     write_results,
 )
 
@@ -99,6 +102,47 @@ def _tiny_result():
         TrialRow(2, 40.0, "oracle", 1, 222, 39.9, None, None, False, None),
     ]
     return ExperimentResult(config=cfg, rows=rows)
+
+
+_optional_floats = st.none() | st.floats()
+_trial_rows = st.builds(
+    TrialRow,
+    rho=st.integers(1, 2**20),
+    isnr_target_db=_optional_floats,
+    method=st.sampled_from(METHODS),
+    trial=st.integers(0, 2**31),
+    seed=st.integers(0, 2**64 - 1),
+    isnr_db=_optional_floats,
+    msnr_db=_optional_floats,
+    rsnr_db=_optional_floats,
+    support_exact=st.booleans(),
+    bits=st.none() | st.integers(1, 64),
+)
+
+
+class TestRowsCsvFormat:
+    def test_header_is_trial_row_fields_in_order(self):
+        assert CSV_HEADER == (
+            "rho,isnr_target_db,method,trial,seed,isnr_db,msnr_db,rsnr_db,support_exact,bits")
+
+    @given(st.lists(_trial_rows, max_size=4))
+    def test_parse_then_serialize_is_byte_identical(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "round_trip_rows.csv"
+        text = rows_to_csv_text(rows)
+        path.write_text(text)
+        parsed = read_rows_csv(path)
+        assert rows_to_csv_text(parsed) == text
+        for row, back in zip(rows, parsed, strict=True):
+            assert (back.rho, back.method, back.trial, back.seed, back.support_exact, back.bits) \
+                == (row.rho, row.method, row.trial, row.seed, row.support_exact, row.bits)
+            for name in ("isnr_target_db", "isnr_db", "msnr_db", "rsnr_db"):
+                assert (getattr(back, name) is None) == (getattr(row, name) is None)
+
+    def test_row_with_an_extra_column_is_an_error(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text(CSV_HEADER + "\n2,40,oracle,0,111,41.2346,15.5,38.7654,true,,7\n")
+        with pytest.raises(ValueError):
+            read_rows_csv(path)
 
 
 class TestWriteResults:
@@ -220,8 +264,11 @@ class TestCliMain:
         ("band_width", 2.5, "band_width must be an integer"),
         ("trials_per_point", 2.5, "trials_per_point must be an integer"),
         ("master_seed", 1.5, "master_seed must be an integer"),
+        ("band_width", True, "band_width must be an integer"),
+        ("trials_per_point", True, "trials_per_point must be an integer"),
+        ("quantizer", {"base_bits": 4.5}, "invalid quantizer: base_bits must be an integer"),
     ], ids=["repeated_rho", "repeated_isnr", "float_rho", "zero_rho", "float_band_width",
-            "float_trials", "float_seed"])
+            "float_trials", "float_seed", "bool_band_width", "bool_trials", "float_base_bits"])
     def test_bad_sweep_value_exit_code(self, key, value, message, tmp_path, capsys):
         cfg = {"ambient_dim": 64, "band_width": 2, "rho_list": [2, 4],
                "isnr_targets_db": [20, 40], key: value}
@@ -235,13 +282,15 @@ class TestCliMain:
 
     @pytest.mark.parametrize("config", [{"ambient_dim": "1e9"},
                                         {"ambient_dim": 10, "band_width": 20},
-                                        {"kappa0": 0}, {"base_bits": 0}])
+                                        {"kappa0": 0}, {"base_bits": 0},
+                                        {"band_width": "4e5"}, {"base_bits": True}])
     def test_design_rules_bad_config_exit_code(self, config, tmp_path, capsys):
         path = tmp_path / "rules.json"
         path.write_text(json.dumps(config))
         assert main(["design-rules", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(key in err for key in config)
 
     def test_bandpass_with_quantizer_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
