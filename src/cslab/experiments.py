@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import numbers
 import operator
 import os
 import platform
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import metrics, quantization, recovery, sensing, signal_model, theory
 
@@ -103,6 +103,14 @@ def _integer(key: str, value) -> int:
     raise TypeError(f"{key} must be an integer; got {value!r}")
 
 
+def _real(key: str, value) -> float:
+    """``value`` as a float when it is a Python or numpy real number; anything
+    else, a bool or a string included, is a TypeError that names ``key``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"{key} must be a real number; got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuantizerSweepSpec:
     """Quantizer policy of a sweep.
@@ -116,6 +124,7 @@ class QuantizerSweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "base_bits", _integer("base_bits", self.base_bits))
+        object.__setattr__(self, "saturation", _real("saturation", self.saturation))
         if self.base_bits < 1:
             raise ValueError("base_bits must be >= 1")
         if self.saturation <= 0:
@@ -142,7 +151,10 @@ class SweepConfig:
             object.__setattr__(self, key, _integer(key, getattr(self, key)))
         rho_list = tuple(_integer("every rho_list value", r) for r in self.rho_list)
         object.__setattr__(self, "rho_list", rho_list)
-        object.__setattr__(self, "isnr_targets_db", tuple(float(v) for v in self.isnr_targets_db))
+        object.__setattr__(self, "isnr_targets_db", tuple(
+            _real("every isnr_targets_db value", v) for v in self.isnr_targets_db))
+        object.__setattr__(self, "measurement_noise_var",
+                           _real("measurement_noise_var", self.measurement_noise_var))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.ambient_dim < 1 or self.band_width < 1:
             raise ValueError("ambient_dim and band_width must be positive")
@@ -258,12 +270,15 @@ def _trial(cfg: SweepConfig, point_index: int, rho: int,
 
     if any(m != "bandpass" for m in cfg.methods):
         ens = _fresh_ensemble(cfg, B // rho, c_ens)
-        y = sensing.measure(ens, acquired, cfg.measurement_noise_var, c_meas)
+        clean = ens.apply(spectrum.coeffs)  # R alpha; also R acquired without signal noise
+        y = sensing.measure(ens, acquired, cfg.measurement_noise_var, c_meas,
+                            clean if acquired is spectrum.coeffs else None)
         if quantizer is not None:
             # scale to the full quantizer range, quantize, undo the scaling
             beta = quantizer.saturation / float(np.max(np.abs(y)))
             y = quantization.quantize(quantizer, beta * y) / beta
-        msnr_db = _db_or_none(metrics.msnr(ens, spectrum.coeffs, y))
+        msnr_db = _db_or_none(metrics.msnr(clean, y))
+        rty = ens.apply_transpose(y)  # shared by oracle and CoSaMP
 
     rows = []
     for method in METHODS:
@@ -278,12 +293,12 @@ def _trial(cfg: SweepConfig, point_index: int, rho: int,
             hit = out is not None
         elif method == "oracle":
             try:
-                out = recovery.oracle_recover(ens, y, spectrum.support)
+                out = recovery.oracle_recover(ens, y, spectrum.support, rty)
             except np.linalg.LinAlgError:  # rank-deficient support block: a failed row
                 out = None
             hit = out is not None
         else:
-            out = recovery.cosamp(ens, y, W)
+            out = recovery.cosamp(ens, y, W, rty)
             hit = bool(np.array_equal(out.support_hat, spectrum.support))
         rsnr_db = None if out is None else _db_or_none(metrics.rsnr(spectrum.coeffs, out.coeffs_hat))
         rows.append(TrialRow(rho, isnr_target, method, trial, seed, isnr_db,
@@ -400,7 +415,6 @@ def run_sweep(cfg: SweepConfig, n_workers: int = 1) -> ExperimentResult:
         "affinity_cpus": _affinity_cpus(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
     return ExperimentResult(config=cfg, rows=rows, environment=environment)
 

@@ -40,10 +40,10 @@ def isnr(spectrum: SparseSpectrum, noisy_coeffs: np.ndarray) -> float:
     return _power_ratio(float(alpha @ alpha), float(in_band @ in_band))
 
 
-def msnr(ensemble, alpha: np.ndarray, y: np.ndarray) -> float:
-    """Measurement SNR: ||R alpha||^2 over the realized measurement perturbation."""
-    alpha = np.asarray(alpha, dtype=float)
-    clean = ensemble.apply(alpha)
+def msnr(clean: np.ndarray, y: np.ndarray) -> float:
+    """Measurement SNR: ||R alpha||^2 over the realized measurement perturbation,
+    given the noiseless measurements ``clean`` = R alpha."""
+    clean = np.asarray(clean, dtype=float)
     err = np.asarray(y, dtype=float) - clean
     return _power_ratio(float(clean @ clean), float(err @ err))
 

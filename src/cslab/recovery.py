@@ -76,19 +76,23 @@ def _lstsq_on_support(columns: np.ndarray, y: np.ndarray) -> np.ndarray:
     return sol
 
 
-def oracle_recover(ensemble, y: np.ndarray, support) -> RecoveryOutput:
+def oracle_recover(ensemble, y: np.ndarray, support,
+                   rty: np.ndarray | None = None) -> RecoveryOutput:
     """Least squares on the given support; zero elsewhere.
 
     Solves the normal equations from ``ensemble.gram(support)`` and
     ``(R.T @ y)[support]``; a block that solve cannot trust goes to gelsd on
     the extracted columns, which raises on a rank-deficient column submatrix
-    (the support is then not identifiable from these measurements).
+    (the support is then not identifiable from these measurements).  ``rty``
+    is R.T @ y when the caller has it already.
     """
     support = np.sort(np.asarray(support, dtype=int))
     y = np.asarray(y, dtype=float)
     if support.size > ensemble.rows:
         raise ValueError("support larger than the number of measurements")
-    sol = _eigh_solve(ensemble.gram(support), ensemble.apply_transpose(y)[support])
+    if rty is None:
+        rty = ensemble.apply_transpose(y)
+    sol = _eigh_solve(ensemble.gram(support), rty[support])
     if sol is None:
         sol = _lstsq_on_support(ensemble.columns(support), y)
     coeffs = np.zeros(ensemble.cols)
@@ -96,7 +100,8 @@ def oracle_recover(ensemble, y: np.ndarray, support) -> RecoveryOutput:
     return RecoveryOutput(coeffs_hat=coeffs, support_hat=support)
 
 
-def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
+def cosamp(ensemble, y: np.ndarray, sparsity: int,
+           rty: np.ndarray | None = None) -> RecoveryOutput:
     """Greedy W-sparse recovery.
 
     Each iteration: correlate the residual against the columns, merge the 2W
@@ -117,6 +122,7 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
     for gelsd, when the eigh solve refuses a Gram: the minimum-norm solution
     for the candidate set (also used directly when it is wider than M), and
     ``_lstsq_on_support`` for the refit, whose rank check ends the run.
+    ``rty`` is R^T y when the caller has it already.
     """
     W = int(sparsity)
     if W < 1:
@@ -135,7 +141,8 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int) -> RecoveryOutput:
     support = np.array([], dtype=int)
     coeffs = np.zeros(B)
     residual = y
-    rty = ensemble.apply_transpose(y)  # R^T y, also the first proxy
+    if rty is None:
+        rty = ensemble.apply_transpose(y)  # R^T y, also the first proxy
     res_norm = y_norm
     converged = False
     it = 0

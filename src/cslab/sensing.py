@@ -7,7 +7,10 @@ Three families are provided:
 * ``subsampled_dct``: a random row subset of an orthonormal DCT applied after
   a random sign flip, scaled so rows have norm sqrt(rho).  Rows are exactly
   orthogonal by construction and the operator applies in O(B log B), which is
-  what makes desk-scale Monte Carlo sweeps affordable.
+  what makes desk-scale Monte Carlo sweeps affordable: ``apply`` and
+  ``apply_transpose`` each run one length-B numpy real FFT (Makhoul's
+  even/odd reorder plus a twiddle, see ``_dct_tables``) and touch only the
+  kept rows' bins.
 
 A ``MeasurementEnsemble`` holds either the dense matrix or the (signs,
 selected rows) pair, never both, and takes its shape from those arrays.
@@ -24,10 +27,10 @@ factor, rescale rows to norm sqrt(rho)).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.fft import dct, idct, rfft
 
 __all__ = [
     "MeasurementEnsemble",
@@ -44,6 +47,38 @@ RANK_TOL = 1e-10
 EXHAUSTIVE_SUPPORT_LIMIT = 10**6
 
 
+@lru_cache(maxsize=8)
+def _dct_tables(B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-length tables of the orthonormal DCT-II through one real FFT.
+
+    Makhoul, "A fast cosine transform in one and two dimensions" (IEEE TASSP,
+    1980): with v the even samples of x followed by its odd samples reversed
+    and V = FFT(v), row q of the DCT-II is X_q = s_q Re(w_q V_q), where
+    w_q = exp(-i pi q / 2B), s_0 = sqrt(1/B) and s_q = sqrt(2/B) otherwise.
+    V_{B-k} = conj(V_k) turns a row q > B/2 into X_q = s_q Re(i w_k V_k) at
+    bin k = B - q, so every row reads one bin of ``rfft(v)`` through one
+    complex coefficient c_q.  The adjoint puts conj(c_q) r_q on that bin and
+    inverts with ``irfft``, which weighs bin k of Re(sum_k W_k exp(2 pi i k n/B))
+    by 2/B, and DC and the even-B Nyquist bin (of which it reads only the real
+    part) by 1/B; the adjoint coefficients carry B/2 or B to undo that.
+
+    Returns (bin, forward coefficient, adjoint coefficient) per DCT row,
+    read-only.
+    """
+    q = np.arange(B)
+    low = q <= B // 2
+    bins = np.where(low, q, B - q)
+    twiddle = np.exp(-1j * np.pi * bins / (2.0 * B))
+    norm = np.full(B, math.sqrt(2.0 / B))
+    norm[0] = math.sqrt(1.0 / B)
+    forward = np.where(low, twiddle, 1j * twiddle) * norm
+    weight = np.where((bins == 0) | (2 * bins == B), float(B), B / 2.0)
+    adjoint = np.conj(forward) * weight
+    for table in (bins, forward, adjoint):
+        table.flags.writeable = False
+    return bins, forward, adjoint
+
+
 class MeasurementEnsemble:
     """An M x B measurement operator held in exactly one representation.
 
@@ -51,8 +86,11 @@ class MeasurementEnsemble:
     (length B) and ``selected_rows`` (the M kept DCT rows, strictly
     increasing) and applies in O(B log B).  ``rows`` and ``cols`` are read off
     those arrays.  For an implicit ensemble ``.matrix`` is built fresh on every
-    read and never stored, and the read-only kernel behind ``gram`` is built
-    on the first ``gram`` call; neither changes how the operator applies.
+    read and never stored; the operator's plan (the kept rows' bins and
+    coefficients, gathered from ``_dct_tables`` with sqrt(rho) folded in) is
+    built on the first ``apply`` or ``apply_transpose``, and the read-only
+    kernel behind ``gram`` on the first ``gram`` call.  Neither changes how the
+    operator applies.
     """
 
     def __init__(
@@ -77,6 +115,7 @@ class MeasurementEnsemble:
         self._matrix = matrix
         self._signs = signs
         self._selected = selected_rows
+        self._plan = None  # subsampled_dct only: see _fft_plan()
         self._kernel = None  # subsampled_dct only: K(m) for m = 0..2B-1, see gram()
 
     @property
@@ -91,6 +130,19 @@ class MeasurementEnsemble:
             return self._matrix
         return self.columns(np.arange(self.cols))
 
+    def _fft_plan(self) -> tuple:
+        """(bins, forward, adjoint, n_low, even signs, odd signs reversed) of the
+        kept rows: their ``_dct_tables`` entries scaled by sqrt(rho), the number
+        of rows q <= B/2 (a prefix, as rows are sorted), and the signs in the
+        reordered layout."""
+        if self._plan is None:
+            bins, forward, adjoint = _dct_tables(self.cols)
+            sel, scale = self._selected, math.sqrt(self.subsampling)
+            self._plan = (bins[sel], scale * forward[sel], scale * adjoint[sel],
+                          int(np.searchsorted(sel, self.cols // 2, side="right")),
+                          self._signs[::2].copy(), self._signs[1::2][::-1].copy())
+        return self._plan
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """R @ v."""
         v = np.asarray(v, dtype=float)
@@ -98,9 +150,12 @@ class MeasurementEnsemble:
             raise ValueError("dimension mismatch")
         if self._matrix is not None:
             return self._matrix @ v
-        scale = np.sqrt(self.subsampling)
-        t = dct(self._signs * v, norm="ortho")
-        return scale * t[self._selected]
+        bins, forward, _, _, even_signs, odd_signs = self._fft_plan()
+        n_even = even_signs.size
+        reordered = np.empty(self.cols)
+        np.multiply(v[::2], even_signs, out=reordered[:n_even])
+        np.multiply(v[1::2][::-1], odd_signs, out=reordered[n_even:])
+        return (forward * np.fft.rfft(reordered)[bins]).real.copy()
 
     def apply_transpose(self, r: np.ndarray) -> np.ndarray:
         """R.T @ r."""
@@ -109,10 +164,17 @@ class MeasurementEnsemble:
             raise ValueError("dimension mismatch")
         if self._matrix is not None:
             return self._matrix.T @ r
-        scale = np.sqrt(self.subsampling)
-        t = np.zeros(self.cols)
-        t[self._selected] = r
-        return scale * self._signs * idct(t, norm="ortho")
+        bins, _, adjoint, n_low, even_signs, odd_signs = self._fft_plan()
+        B, n_even = self.cols, even_signs.size
+        spectrum = np.zeros(B // 2 + 1, dtype=complex)
+        spectrum[bins[:n_low]] = adjoint[:n_low] * r[:n_low]
+        # a row q > B/2 shares bin B - q with row B - q when both are kept
+        spectrum[bins[n_low:]] += adjoint[n_low:] * r[n_low:]
+        reordered = np.fft.irfft(spectrum, n=B)
+        out = np.empty(B)
+        np.multiply(reordered[:n_even], even_signs, out=out[::2])
+        np.multiply(reordered[n_even:], odd_signs, out=out[1::2][::-1])
+        return out
 
     def columns(self, indices) -> np.ndarray:
         """Extract R[:, indices] as a dense M x len(indices) block; one ``cos``
@@ -154,7 +216,7 @@ class MeasurementEnsemble:
             B = self.cols
             indicator = np.zeros(2 * B)
             indicator[self._selected] = 1.0
-            half = rfft(indicator).real
+            half = np.fft.rfft(indicator).real
             self._kernel = np.concatenate([half, half[-2:0:-1]])
             self._kernel.flags.writeable = False
         kernel = self._kernel
@@ -229,11 +291,13 @@ def measure(
     coeff_vector: np.ndarray,
     measurement_noise_var: float = 0.0,
     rng_seed=0,
+    product: np.ndarray | None = None,
 ) -> np.ndarray:
-    """y = R @ coeff_vector + e with e i.i.d. Gaussian of the given variance."""
+    """y = R @ coeff_vector + e with e i.i.d. Gaussian of the given variance;
+    ``product`` is R @ coeff_vector when the caller has it already."""
     if measurement_noise_var < 0:
         raise ValueError("measurement_noise_var must be nonnegative")
-    y = ensemble.apply(coeff_vector)
+    y = ensemble.apply(coeff_vector) if product is None else product
     if measurement_noise_var > 0:
         rng = np.random.default_rng(rng_seed)
         y = y + np.sqrt(measurement_noise_var) * rng.standard_normal(ensemble.rows)

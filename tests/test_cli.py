@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -267,8 +266,18 @@ class TestCliMain:
         ("band_width", True, "band_width must be an integer"),
         ("trials_per_point", True, "trials_per_point must be an integer"),
         ("quantizer", {"base_bits": 4.5}, "invalid quantizer: base_bits must be an integer"),
+        ("isnr_targets_db", [True], "every isnr_targets_db value must be a real number"),
+        ("isnr_targets_db", ["40"], "every isnr_targets_db value must be a real number"),
+        ("measurement_noise_var", True, "measurement_noise_var must be a real number"),
+        ("measurement_noise_var", "0.1", "measurement_noise_var must be a real number"),
+        ("quantizer", {"base_bits": 4, "saturation": True},
+         "invalid quantizer: saturation must be a real number"),
+        ("quantizer", {"base_bits": 4, "saturation": "1"},
+         "invalid quantizer: saturation must be a real number"),
     ], ids=["repeated_rho", "repeated_isnr", "float_rho", "zero_rho", "float_band_width",
-            "float_trials", "float_seed", "bool_band_width", "bool_trials", "float_base_bits"])
+            "float_trials", "float_seed", "bool_band_width", "bool_trials", "float_base_bits",
+            "bool_isnr", "string_isnr", "bool_noise_var", "string_noise_var",
+            "bool_saturation", "string_saturation"])
     def test_bad_sweep_value_exit_code(self, key, value, message, tmp_path, capsys):
         cfg = {"ambient_dim": 64, "band_width": 2, "rho_list": [2, 4],
                "isnr_targets_db": [20, 40], key: value}
@@ -340,7 +349,6 @@ class TestCliMain:
                 "affinity_cpus": experiments._affinity_cpus(),
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             }
         assert outputs[0] == outputs[1]
 

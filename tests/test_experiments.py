@@ -3,6 +3,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import numpy.testing as nptest
 import pytest
 
 from cslab import experiments, recovery, sensing
@@ -71,6 +72,15 @@ class TestSweepConfig:
         assert type(cfg.ambient_dim) is int and type(cfg.rho_list[0]) is int
         with pytest.raises(TypeError, match="every rho_list value must be an integer"):
             SweepConfig(ambient_dim=64, band_width=2, rho_list=(2.0,))
+
+    def test_real_fields_take_numpy_reals_and_integers(self):
+        cfg = SweepConfig(ambient_dim=64, band_width=2, rho_list=(2,),
+                          isnr_targets_db=(np.float32(40.0), 20), measurement_noise_var=np.int64(0),
+                          methods=("oracle",),
+                          quantizer=QuantizerSweepSpec(base_bits=4, saturation=np.float64(0.5)))
+        assert (cfg.isnr_targets_db, cfg.measurement_noise_var) == ((40.0, 20.0), 0.0)
+        assert type(cfg.measurement_noise_var) is float and type(cfg.isnr_targets_db[0]) is float
+        assert type(cfg.quantizer.saturation) is float
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -236,6 +246,36 @@ class TestQuantizationSweep:
         res = run_sweep(_tiny_quant_cfg(), n_workers=2)
         assert len(res.rows) == 4
         assert multiprocessing.active_children() == []
+
+
+class TestTrialTransforms:
+    """A trial computes R alpha and R^T y once each and hands them on."""
+
+    @pytest.mark.parametrize("isnr_targets_db, applies", [((), 1), ((40.0,), 2)],
+                             ids=["no_signal_noise", "signal_noise"])
+    def test_operator_calls_per_oracle_trial(self, isnr_targets_db, applies, monkeypatch):
+        calls = {"apply": 0, "apply_transpose": 0}
+        for name in calls:
+            def counted(ens, v, _original=getattr(sensing.MeasurementEnsemble, name), _name=name):
+                calls[_name] += 1
+                return _original(ens, v)
+            monkeypatch.setattr(sensing.MeasurementEnsemble, name, counted)
+        run_sweep(SweepConfig(ambient_dim=64, band_width=2, rho_list=(2,),
+                              isnr_targets_db=isnr_targets_db, trials_per_point=1,
+                              methods=("oracle",), master_seed=3))
+        assert calls == {"apply": applies, "apply_transpose": 1}
+
+    def test_oracle_and_cosamp_share_one_adjoint(self, monkeypatch):
+        handed = []
+        for name in ("oracle_recover", "cosamp"):
+            def recording(ens, y, arg, rty=None, _original=getattr(recovery, name)):
+                nptest.assert_array_equal(rty, ens.apply_transpose(y))
+                handed.append(rty)
+                return _original(ens, y, arg, rty)
+            monkeypatch.setattr(recovery, name, recording)
+        run_sweep(SweepConfig(ambient_dim=64, band_width=2, rho_list=(2,), trials_per_point=1,
+                              methods=("oracle", "cosamp"), master_seed=3))
+        assert len(handed) == 2 and handed[0] is handed[1]
 
 
 def _gram_by_columns(ensemble, indices):

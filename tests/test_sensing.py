@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import numpy.testing as nptest
 import pytest
+import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cslab import sensing
 from cslab.sensing import (
     MeasurementEnsemble,
     estimate_rip_constant,
@@ -56,7 +58,7 @@ class TestSubsampledDct:
         nptest.assert_allclose(ens.matrix @ ens.matrix.T, rho * np.eye(8), atol=1e-12)
 
     def test_operator_matches_matrix(self):
-        # the reference comes from the scipy.fft path (apply on unit vectors);
+        # the reference comes from the FFT path (apply on unit vectors);
         # .matrix is built by columns(), so it is compared last, never used as a reference
         ens = generate_subsampled_dct_ensemble(16, 64, 5)
         reference = np.column_stack([ens.apply(e) for e in np.eye(64)])
@@ -237,6 +239,70 @@ class TestGram:
         assert ens._kernel is kernel
         for old, new in zip(before, (ens.apply(v), ens.apply_transpose(r), ens.columns(idx))):
             assert old.tobytes() == new.tobytes()
+
+
+def _scipy_apply(ens, v):
+    """The kernel the FFT operator replaced: scipy's orthonormal DCT-II, kept rows."""
+    return np.sqrt(ens.subsampling) * scipy.fft.dct(ens._signs * v, norm="ortho")[ens._selected]
+
+
+def _scipy_apply_transpose(ens, r):
+    """The kernel the FFT adjoint replaced: scipy's orthonormal DCT-III of the scattered rows."""
+    t = np.zeros(ens.cols)
+    t[ens._selected] = r
+    return np.sqrt(ens.subsampling) * ens._signs * scipy.fft.idct(t, norm="ortho")
+
+
+def _fft_row_sets(B, rng):
+    """Every row (each bin then serves a row q and its mirror B - q), a random
+    subset with DCT rows 0, B // 2 and B - 1, and one without them."""
+    edges = [0, B // 2, B - 1]
+    inner = np.setdiff1d(np.arange(B), edges)
+    inner = inner[rng.random(inner.size) < 0.5]
+    sets = [np.arange(B), np.union1d(inner, edges), inner]
+    return [rows for rows in sets if rows.size]
+
+
+class TestFftOperator:
+    """``apply`` and ``apply_transpose`` of ``subsampled_dct`` against scipy.fft."""
+
+    @staticmethod
+    def _check(B, rng):
+        signs = 2.0 * rng.integers(0, 2, size=B) - 1.0
+        v = rng.standard_normal(B)
+        for rows in _fft_row_sets(B, rng):
+            ens = MeasurementEnsemble(signs=signs, selected_rows=rows)
+            r = rng.standard_normal(rows.size)
+            forward, adjoint = ens.apply(v), ens.apply_transpose(r)
+            nptest.assert_allclose(forward, _scipy_apply(ens, v), rtol=0, atol=1e-12)
+            nptest.assert_allclose(adjoint, _scipy_apply_transpose(ens, r), rtol=0, atol=1e-12)
+            # <R v, r> = <v, R^T r>
+            assert forward @ r == pytest.approx(v @ adjoint, rel=1e-12, abs=1e-12)
+
+    def test_matches_scipy_every_small_length(self):
+        rng = np.random.default_rng(0)
+        for B in range(1, 301):
+            self._check(B, rng)
+
+    @pytest.mark.parametrize("B", [8192, 8193, 32768])
+    def test_matches_scipy_large_length(self, B):
+        self._check(B, np.random.default_rng(B))
+
+    def test_gram_kernel_is_scipy_rfft_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        for B in [*range(1, 301), 8192, 8193]:
+            for rows in _fft_row_sets(B, rng):
+                ens = MeasurementEnsemble(signs=np.ones(B), selected_rows=rows)
+                ens.gram([0])
+                indicator = np.zeros(2 * B)
+                indicator[rows] = 1.0
+                half = scipy.fft.rfft(indicator).real
+                nptest.assert_array_equal(ens._kernel, np.concatenate([half, half[-2:0:-1]]))
+
+    def test_tables_read_only(self):
+        for table in sensing._dct_tables(256):
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 class TestOrthogonalizeRows:
