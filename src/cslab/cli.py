@@ -8,9 +8,11 @@ accept --seed / --trials overrides, and persist rows, summary, plot data,
 and a run manifest into --out.  The CSLAB_THREADS environment variable caps
 the worker count (0 = one worker per CPU; unset = serial).  Sweeps run
 numpy's OpenBLAS on one thread, serially and in every worker: a second BLAS
-thread, woken by LAPACK's eigh and gelsd, nearly doubled the quantization
-sweep's CPU time without speeding it up, and made two workers slower than
-one.  A user-set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is respected.
+thread, woken by LAPACK's gelsd and by the eigh solve that one ``inv`` of the
+Gram with a Frobenius condition bound has since replaced, nearly doubled the
+quantization sweep's CPU time without speeding it up, and made two workers
+slower than one.  A user-set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
+respected.
 """
 
 from __future__ import annotations

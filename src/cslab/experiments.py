@@ -16,10 +16,10 @@ the blocks' rows are joined in submission order, which both the serial loop
 and ``Executor.map`` keep.
 
 A sweep runs numpy's OpenBLAS on one thread, serially and in every worker:
-its LAPACK calls (eigh on a Gram of a few dozen columns, gelsd on a column
-block) are too small for a second BLAS thread to pay, and pooled workers
-would oversubscribe the cores.  A user-set OPENBLAS_NUM_THREADS or
-OMP_NUM_THREADS is left in force.
+its LAPACK calls (one ``inv`` of a Gram of a few dozen columns with a
+Frobenius condition bound, gelsd on a column block) are too small for a
+second BLAS thread to pay, and pooled workers would oversubscribe the cores.
+A user-set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is left in force.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import numbers
 import operator
 import os
 import platform
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,10 +104,18 @@ def _integer(key: str, value) -> int:
 
 
 def _real(key: str, value) -> float:
-    """``value`` as a float when it is a Python or numpy real number; anything
-    else, a bool or a string included, is a TypeError that names ``key``."""
+    """``value`` as a float when it is a finite Python or numpy real number;
+    anything else, a bool or a string included, is a TypeError that names
+    ``key``, and NaN, an infinity (which JSON configs can spell) or an
+    integer beyond the float range is a ValueError that names it."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            real = float(value)
+        except OverflowError:
+            real = math.inf
+        if not math.isfinite(real):
+            raise ValueError(f"{key} must be finite; got {value!r}")
+        return real
     raise TypeError(f"{key} must be a real number; got {value!r}")
 
 
@@ -406,6 +414,9 @@ def run_sweep(cfg: SweepConfig, n_workers: int = 1) -> ExperimentResult:
         if workers == 1:
             block_rows = [_run_block(b) for b in blocks]
         else:
+            # imported here, so that only a pooled sweep loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads) as pool:
                 block_rows = list(pool.map(_run_block, blocks))
     rows = [row for block in block_rows for row in block]

@@ -10,9 +10,10 @@ Three estimators:
 
 The least-squares steps of the first two solve normal equations from
 ``MeasurementEnsemble.gram`` (closed form for ``subsampled_dct``) and
-(R^T y)[L] through one eigendecomposition; a block that solve refuses goes
-straight to LAPACK gelsd on the extracted columns, the only fallback and the
-only judge of rank.  No block is factorized twice.
+(R^T y)[L] through one ``inv`` of the Gram with a Frobenius condition bound;
+a block that solve refuses goes straight to LAPACK gelsd on the extracted
+columns, the only fallback and the only judge of rank.  No block is
+factorized twice.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class RecoveryOutput:
     converged: bool = True
 
 
-# the Gram solve loses about log10(cond(G)) of the 16 digits; beyond this
-# condition number the SVD-based solver takes over
+# the Gram solve loses about log10(cond(G)) of the 16 digits; once the
+# Frobenius bound on cond(G) reaches this value the SVD-based solver takes over
 GRAM_COND_LIMIT = 1e8
 
 # CoSaMP halting rule, see ``cosamp``
@@ -48,26 +49,29 @@ COSAMP_MAX_ITER = 50
 COSAMP_TOL = 1e-6
 
 
-def _eigh_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve the normal equations G x = rhs through one eigendecomposition.
+def _normal_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve the normal equations G x = rhs through one inverse of G.
 
-    Returns None when the solve cannot be trusted: a failed factorization or
-    cond(G) above ``GRAM_COND_LIMIT``.
+    Returns None when the solve cannot be trusted: a singular G, or the
+    Frobenius bound ||G||_F ||G^-1||_F at or above ``GRAM_COND_LIMIT``.  For a
+    k x k G that bound lies between cond_2(G) and k cond_2(G), so every block
+    with cond_2(G) >= ``GRAM_COND_LIMIT`` is refused; NaN and inf fail the
+    comparison and are refused too.
     """
     try:
-        w, v = np.linalg.eigh(gram)
+        inverse = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
         return None
-    if not w[0] > w[-1] / GRAM_COND_LIMIT:  # also catches NaN
+    if not np.vdot(gram, gram) * np.vdot(inverse, inverse) < GRAM_COND_LIMIT ** 2:
         return None
-    return v @ ((v.T @ rhs) / w)
+    return inverse @ rhs
 
 
 def _lstsq_on_support(columns: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Full-rank least squares by LAPACK gelsd; raises LinAlgError on a
     rank-deficient block.
 
-    The fallback for blocks whose Gram ``_eigh_solve`` refused; gelsd alone
+    The fallback for blocks whose Gram ``_normal_solve`` refused; gelsd alone
     decides whether the block is rank-deficient.
     """
     sol, _, rank, _ = np.linalg.lstsq(columns, y, rcond=None)
@@ -92,7 +96,7 @@ def oracle_recover(ensemble, y: np.ndarray, support,
         raise ValueError("support larger than the number of measurements")
     if rty is None:
         rty = ensemble.apply_transpose(y)
-    sol = _eigh_solve(ensemble.gram(support), rty[support])
+    sol = _normal_solve(ensemble.gram(support), rty[support])
     if sol is None:
         sol = _lstsq_on_support(ensemble.columns(support), y)
     coeffs = np.zeros(ensemble.cols)
@@ -119,7 +123,7 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int,
     ``ensemble.gram`` and R^T y, which is the first proxy (the residual starts
     at y); the refit Gram is a slice of the candidate Gram.  The residual is
     y - R x, with R x from ``ensemble.apply``.  Columns are extracted only
-    for gelsd, when the eigh solve refuses a Gram: the minimum-norm solution
+    for gelsd, when the normal solve refuses a Gram: the minimum-norm solution
     for the candidate set (also used directly when it is wider than M), and
     ``_lstsq_on_support`` for the refit, whose rank check ends the run.
     ``rty`` is R^T y when the caller has it already.
@@ -155,7 +159,7 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int,
         try:
             # more candidates than rows: G is singular, skip it
             cand_gram = ensemble.gram(candidates) if candidates.size <= M else None
-            cand_sol = None if cand_gram is None else _eigh_solve(cand_gram, rty[candidates])
+            cand_sol = None if cand_gram is None else _normal_solve(cand_gram, rty[candidates])
             if cand_sol is None:  # wide or ill-conditioned: minimum-norm solution
                 cand_sol = np.linalg.lstsq(ensemble.columns(candidates), y, rcond=None)[0]
             # candidates are sorted, so sorted positions give a sorted support
@@ -163,7 +167,7 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int,
             new_support = candidates[keep]
             new_gram = (ensemble.gram(new_support) if cand_gram is None
                         else cand_gram[np.ix_(keep, keep)])
-            new_sol = _eigh_solve(new_gram, rty[new_support])
+            new_sol = _normal_solve(new_gram, rty[new_support])
             if new_sol is None:
                 new_sol = _lstsq_on_support(ensemble.columns(new_support), y)
         except np.linalg.LinAlgError:

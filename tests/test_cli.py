@@ -274,10 +274,15 @@ class TestCliMain:
          "invalid quantizer: saturation must be a real number"),
         ("quantizer", {"base_bits": 4, "saturation": "1"},
          "invalid quantizer: saturation must be a real number"),
+        ("measurement_noise_var", float("nan"), "measurement_noise_var must be finite"),
+        ("isnr_targets_db", [40, float("inf")], "every isnr_targets_db value must be finite"),
+        ("quantizer", {"base_bits": 4, "saturation": float("nan")},
+         "invalid quantizer: saturation must be finite"),
     ], ids=["repeated_rho", "repeated_isnr", "float_rho", "zero_rho", "float_band_width",
             "float_trials", "float_seed", "bool_band_width", "bool_trials", "float_base_bits",
             "bool_isnr", "string_isnr", "bool_noise_var", "string_noise_var",
-            "bool_saturation", "string_saturation"])
+            "bool_saturation", "string_saturation", "nan_noise_var", "inf_isnr",
+            "nan_saturation"])
     def test_bad_sweep_value_exit_code(self, key, value, message, tmp_path, capsys):
         cfg = {"ambient_dim": 64, "band_width": 2, "rho_list": [2, 4],
                "isnr_targets_db": [20, 40], key: value}

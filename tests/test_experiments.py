@@ -1,6 +1,6 @@
+import concurrent.futures
 import functools
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import numpy.testing as nptest
@@ -81,6 +81,17 @@ class TestSweepConfig:
         assert (cfg.isnr_targets_db, cfg.measurement_noise_var) == ((40.0, 20.0), 0.0)
         assert type(cfg.measurement_noise_var) is float and type(cfg.isnr_targets_db[0]) is float
         assert type(cfg.quantizer.saturation) is float
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                       np.float32("nan"), 10**400])
+    def test_real_fields_reject_non_finite_values(self, value):
+        base = dict(ambient_dim=64, band_width=2, rho_list=(2,), methods=("oracle",))
+        with pytest.raises(ValueError, match="measurement_noise_var must be finite"):
+            SweepConfig(**base, measurement_noise_var=value)
+        with pytest.raises(ValueError, match="every isnr_targets_db value must be finite"):
+            SweepConfig(**base, isnr_targets_db=(40.0, value))
+        with pytest.raises(ValueError, match="saturation must be finite"):
+            QuantizerSweepSpec(base_bits=4, saturation=value)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -371,10 +382,11 @@ class TestOneBlasThread:
     @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
     def test_pool_worker_runs_one_thread(self, blas_at_two_threads, monkeypatch, method):
         # a spawned or forkserver worker starts at OpenBLAS's default count,
-        # so only the pool initializer brings it to one
-        pool = functools.partial(ProcessPoolExecutor,
+        # so only the pool initializer brings it to one; run_sweep imports the
+        # pool class from concurrent.futures when it starts a pool
+        pool = functools.partial(concurrent.futures.ProcessPoolExecutor,
                                  mp_context=multiprocessing.get_context(method))
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         monkeypatch.setattr(experiments, "_run_block", _block_reporting_blas_threads)
         res = run_sweep(_tiny_quant_cfg(), n_workers=2)
         assert res.rows == [1, 1]

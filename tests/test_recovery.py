@@ -1,15 +1,15 @@
 import numpy as np
 import numpy.testing as nptest
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cslab import metrics, recovery
 from cslab.recovery import (
     GRAM_COND_LIMIT,
-    _eigh_solve,
     _fold,
     _lstsq_on_support,
+    _normal_solve,
     bandpass_baseline,
     cosamp,
     oracle_recover,
@@ -70,25 +70,25 @@ class TestOracleRecover:
             oracle_recover(ens, np.ones(4), [2, 5])
 
     def test_singular_gram_raises_through_gelsd(self, monkeypatch):
-        # a repeated support index makes the Gram singular: the eigh guard
+        # a repeated support index makes the Gram singular: the normal solve
         # refuses it and gelsd, the judge of rank, raises; a sweep records the
         # raise as a failed row and the tracer counts it as a rank failure
         ens = generate_subsampled_dct_ensemble(64, 256, 23)
         y = np.random.default_rng(24).standard_normal(64)
         calls, factorizations = [], []
         original = recovery._lstsq_on_support
-        original_eigh = np.linalg.eigh
+        original_inv = np.linalg.inv
 
         def recorded(columns, y):
             calls.append(columns.shape)
             return original(columns, y)
 
-        def counted_eigh(a, *args, **kwargs):
+        def counted_inv(a, *args, **kwargs):
             factorizations.append(a.shape)
-            return original_eigh(a, *args, **kwargs)
+            return original_inv(a, *args, **kwargs)
 
         monkeypatch.setattr(recovery, "_lstsq_on_support", recorded)
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
         with pytest.raises(np.linalg.LinAlgError):
             oracle_recover(ens, y, [5, 5, 9])
         assert calls == [(64, 3)]
@@ -125,26 +125,74 @@ def _gelsd(columns, y):
     return np.linalg.lstsq(columns, y, rcond=None)[0]
 
 
-class TestEighSolve:
-    @pytest.mark.parametrize("n_rows,n_cols", [(8192, 13), (1024, 13), (8192, 39),
-                                               (1024, 39), (64, 39)])
+def _eigh_solve(gram, rhs):
+    """The eigendecomposition solve that ``_normal_solve`` replaced, kept as
+    its reference: None on a failed factorization or when the computed
+    eigenvalues put cond(G) at or above ``GRAM_COND_LIMIT``."""
+    try:
+        w, v = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:
+        return None
+    if not w[0] > w[-1] / GRAM_COND_LIMIT:  # also catches NaN
+        return None
+    return v @ ((v.T @ rhs) / w)
+
+
+# W = 13 oracle/refit blocks and 39-column CoSaMP candidate blocks
+SWEEP_BLOCKS = [(8192, 13), (1024, 13), (8192, 39), (1024, 39), (64, 39)]
+
+
+def _sweep_block(n_rows, n_cols):
+    B = 8192
+    ens = generate_subsampled_dct_ensemble(n_rows, B, 3)
+    rng = np.random.default_rng(4)
+    cols = ens.columns(np.sort(rng.choice(B, n_cols, replace=False)))
+    return cols, rng.standard_normal(n_rows)
+
+
+class TestNormalSolve:
+    @pytest.mark.parametrize("n_rows,n_cols", SWEEP_BLOCKS)
     def test_matches_gelsd_on_sweep_blocks(self, n_rows, n_cols):
-        # W = 13 oracle/refit blocks and 39-column CoSaMP candidate blocks
-        B = 8192
-        ens = generate_subsampled_dct_ensemble(n_rows, B, 3)
-        rng = np.random.default_rng(4)
-        cols = ens.columns(np.sort(rng.choice(B, n_cols, replace=False)))
-        y = rng.standard_normal(n_rows)
-        sol = _eigh_solve(cols.T @ cols, cols.T @ y)
+        cols, y = _sweep_block(n_rows, n_cols)
+        sol = _normal_solve(cols.T @ cols, cols.T @ y)
         assert sol is not None
         nptest.assert_allclose(sol, _gelsd(cols, y), rtol=1e-9)
+
+    @pytest.mark.parametrize("n_rows,n_cols", SWEEP_BLOCKS)
+    def test_matches_eigh_reference_on_sweep_blocks(self, n_rows, n_cols):
+        cols, y = _sweep_block(n_rows, n_cols)
+        gram, rhs = cols.T @ cols, cols.T @ y
+        sol = _normal_solve(gram, rhs)
+        assert sol is not None
+        nptest.assert_allclose(sol, _eigh_solve(gram, rhs), rtol=1e-12)
+
+    @given(st.integers(2, 40), st.integers(0, 40), st.floats(0, 12), st.integers(0, 2**32 - 1))
+    def test_refuses_what_eigh_refuses(self, k, extra_rows, log_cond, seed):
+        # columns with logspace singular values give cond(G) = 10**log_cond;
+        # within rounding of the limit either kernel may refuse
+        assume(abs(log_cond - np.log10(GRAM_COND_LIMIT)) > 1e-3)
+        rng = np.random.default_rng(seed)
+        n = k + extra_rows
+        u, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        cols = u @ np.diag(np.logspace(0, -log_cond / 2, k)) @ v.T
+        y = rng.standard_normal(n)
+        gram, rhs = cols.T @ cols, cols.T @ y
+        sol = _normal_solve(gram, rhs)
+        if _eigh_solve(gram, rhs) is None:
+            assert sol is None
+        if sol is not None:
+            ref = _gelsd(cols, y)
+            cond = np.linalg.cond(gram)
+            assert cond <= GRAM_COND_LIMIT * (1 + 1e-6)
+            assert np.linalg.norm(sol - ref) <= 1e-12 * cond * np.linalg.norm(ref)
 
     @given(st.integers(1, 20), st.integers(0, 40), st.integers(0, 2**32 - 1))
     def test_matches_gelsd_within_conditioning(self, k, extra_rows, seed):
         rng = np.random.default_rng(seed)
         cols = rng.standard_normal((k + extra_rows, k))
         y = rng.standard_normal(k + extra_rows)
-        sol = _eigh_solve(cols.T @ cols, cols.T @ y)
+        sol = _normal_solve(cols.T @ cols, cols.T @ y)
         if sol is not None:
             ref = _gelsd(cols, y)
             cond = np.linalg.cond(cols.T @ cols)
@@ -158,7 +206,7 @@ class TestEighSolve:
         cols = ens.columns(np.arange(0, 8192, 211)[:39])
         y = np.random.default_rng(6).standard_normal(32)
         assert cols.shape == (32, 39)
-        assert _eigh_solve(cols.T @ cols, cols.T @ y) is None
+        assert _normal_solve(cols.T @ cols, cols.T @ y) is None
         with pytest.raises(np.linalg.LinAlgError):
             _lstsq_on_support(cols, y)
 
@@ -169,13 +217,13 @@ class TestEighSolve:
         v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         cols = u @ np.diag(np.logspace(0, -7, 5)) @ v.T
         y = rng.standard_normal(100)
-        assert _eigh_solve(cols.T @ cols, cols.T @ y) is None
+        assert _normal_solve(cols.T @ cols, cols.T @ y) is None
         nptest.assert_array_equal(_lstsq_on_support(cols, y), _gelsd(cols, y))
 
     def test_rank_deficient_block_detected(self):
         cols = np.random.default_rng(8).standard_normal((16, 3))
         cols[:, 2] = cols[:, 0] + cols[:, 1]
-        assert _eigh_solve(cols.T @ cols, cols.T @ np.ones(16)) is None
+        assert _normal_solve(cols.T @ cols, cols.T @ np.ones(16)) is None
         with pytest.raises(np.linalg.LinAlgError):
             _lstsq_on_support(cols, np.ones(16))
 
@@ -237,14 +285,14 @@ class TestCosamp:
         # each iteration solves twice (candidates, then the refit): spoil the
         # second iteration's refit so that its residual grows
         solves = []
-        original = recovery._eigh_solve
+        original = recovery._normal_solve
 
         def spoiled(gram, rhs):
             solves.append(gram.shape)
             sol = original(gram, rhs)
             return 10.0 * sol if len(solves) == 4 else sol
 
-        monkeypatch.setattr(recovery, "_eigh_solve", spoiled)
+        monkeypatch.setattr(recovery, "_normal_solve", spoiled)
         out = cosamp(ens, y, 4)
         assert len(solves) == 4
         assert out.iterations == 2
