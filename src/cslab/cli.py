@@ -7,12 +7,10 @@ quantization apply.  Sweeps read a JSON config (see README for the schema),
 accept --seed / --trials overrides, and persist rows, summary, plot data,
 and a run manifest into --out.  The CSLAB_THREADS environment variable caps
 the worker count (0 = one worker per CPU; unset = serial).  Sweeps run
-numpy's OpenBLAS on one thread, serially and in every worker: a second BLAS
-thread, woken by LAPACK's gelsd and by the eigh solve that one ``inv`` of the
-Gram with a Frobenius condition bound has since replaced, nearly doubled the
-quantization sweep's CPU time without speeding it up, and made two workers
-slower than one.  A user-set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
-respected.
+numpy's OpenBLAS on one thread, serially and in every worker: their LAPACK
+calls are too small for a second BLAS thread to pay, and pooled workers must
+not oversubscribe the cores (README, "Worker count").  A user-set
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is respected.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from . import quantization, recovery, sensing, signal_model, theory
-from .experiments import run_sweep
+from .experiments import _real, run_sweep
 from .metrics import rsnr
 from .results_io import (
     ConfigFileError,
@@ -73,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--trials", type=int, default=None, help="override trials_per_point")
         p.add_argument("--out", default="cslab_results", help="output directory")
+        p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("dynamic-range", help="closed-form and empirical dynamic range")
     p.add_argument("--bits", type=int, required=True)
@@ -84,6 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--path", choices=["conventional", "cs"], default="conventional")
     p.add_argument("--out", default=None, help="optional JSON output path")
+    p.set_defaults(run=_cmd_dynamic_range)
 
     p = sub.add_parser("rip-estimate", help="empirical restricted-isometry constant")
     p.add_argument("--ambient-dim", type=int, required=True)
@@ -96,10 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orthogonalize", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional JSON output path")
+    p.set_defaults(run=_cmd_rip_estimate)
 
     p = sub.add_parser("design-rules", help="evaluate the receiver design rules")
     p.add_argument("--config", default=None, help="JSON with ambient_dim/band_width/kappa0/base_bits")
     p.add_argument("--out", default=None, help="optional JSON output path")
+    p.set_defaults(run=_cmd_design_rules)
     return parser
 
 
@@ -196,8 +198,10 @@ def _cmd_design_rules(args) -> int:
         if unknown:
             raise ConfigSchemaError(f"unknown design-rule keys: {sorted(unknown)}")
         for key, value in data.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigSchemaError(f"{key} must be a number; got {value!r}")
+            try:
+                _real(key, value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigSchemaError(str(exc)) from exc
         params.update(data)
     try:
         report = theory.design_rules(**params)
@@ -218,25 +222,15 @@ def _cmd_design_rules(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
     try:
-        if args.command in ("noise-folding", "quantizer-sweep"):
-            return _cmd_sweep(args)
-        if args.command == "dynamic-range":
-            return _cmd_dynamic_range(args)
-        if args.command == "rip-estimate":
-            return _cmd_rip_estimate(args)
-        if args.command == "design-rules":
-            return _cmd_design_rules(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ConfigFileError, ConfigSchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)
-    return 0
 
 
 if __name__ == "__main__":

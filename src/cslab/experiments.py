@@ -266,7 +266,7 @@ def _trial(cfg: SweepConfig, point_index: int, rho: int,
     B, W = cfg.ambient_dim, cfg.band_width
     bits = quantizer = None
     if cfg.quantizer is not None:
-        bits = max(1, int(np.floor(theory.bit_depth_trend(cfg.quantizer.base_bits, rho) + 0.5)))
+        bits = math.floor(theory.bit_depth_trend(cfg.quantizer.base_bits, rho) + 0.5)
         quantizer = quantization.QuantizerSpec(bits=bits, saturation=cfg.quantizer.saturation)
 
     spectrum = signal_model.generate_bandlimited(B, W, "random", c_signal)
@@ -399,9 +399,9 @@ def run_sweep(cfg: SweepConfig, n_workers: int = 1) -> ExperimentResult:
     The points are rho x ISNR target, or rho alone when there are no targets;
     every trial runs the acquisition chain of ``_trial``.  With a quantizer
     the bit depth per point follows the rate/resolution trend anchored at
-    ``base_bits`` for rho = 1 (rounded to the nearest integer, floor 1).  A
-    bandpass alias collision or a rank-deficient oracle solve marks the trial
-    failed rather than aborting the sweep.
+    ``base_bits`` for rho = 1, rounded half up; since rho >= 1 it never falls
+    below ``base_bits``.  A bandpass alias collision or a rank-deficient
+    oracle solve marks the trial failed rather than aborting the sweep.
     """
     points = [(rho, isnr) for rho in cfg.rho_list for isnr in cfg.isnr_targets_db or (None,)]
     blocks = []

@@ -123,16 +123,17 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int,
     ``ensemble.gram`` and R^T y, which is the first proxy (the residual starts
     at y); the refit Gram is a slice of the candidate Gram.  The residual is
     y - R x, with R x from ``ensemble.apply``.  Columns are extracted only
-    for gelsd, when the normal solve refuses a Gram: the minimum-norm solution
-    for the candidate set (also used directly when it is wider than M), and
-    ``_lstsq_on_support`` for the refit, whose rank check ends the run.
+    for gelsd, when the normal solve refuses a Gram, as it does every Gram of
+    more candidates than rows (rank at most M): the minimum-norm solution for
+    the candidate set, and ``_lstsq_on_support`` for the refit, whose rank
+    check ends the run.
     ``rty`` is R^T y when the caller has it already.
     """
     W = int(sparsity)
     if W < 1:
         raise ValueError("sparsity must be >= 1")
     y = np.asarray(y, dtype=float)
-    B, M = ensemble.cols, ensemble.rows
+    B = ensemble.cols
     y_norm = float(np.linalg.norm(y))
     if y_norm == 0.0:
         return RecoveryOutput(
@@ -157,17 +158,14 @@ def cosamp(ensemble, y: np.ndarray, sparsity: int,
         strongest = np.argpartition(np.abs(proxy), -n_strong)[-n_strong:]
         candidates = np.union1d(strongest, support)
         try:
-            # more candidates than rows: G is singular, skip it
-            cand_gram = ensemble.gram(candidates) if candidates.size <= M else None
-            cand_sol = None if cand_gram is None else _normal_solve(cand_gram, rty[candidates])
-            if cand_sol is None:  # wide or ill-conditioned: minimum-norm solution
+            cand_gram = ensemble.gram(candidates)
+            cand_sol = _normal_solve(cand_gram, rty[candidates])
+            if cand_sol is None:  # singular (wide included) or ill-conditioned
                 cand_sol = np.linalg.lstsq(ensemble.columns(candidates), y, rcond=None)[0]
             # candidates are sorted, so sorted positions give a sorted support
             keep = np.sort(np.argsort(np.abs(cand_sol))[-W:])
             new_support = candidates[keep]
-            new_gram = (ensemble.gram(new_support) if cand_gram is None
-                        else cand_gram[np.ix_(keep, keep)])
-            new_sol = _normal_solve(new_gram, rty[new_support])
+            new_sol = _normal_solve(cand_gram[np.ix_(keep, keep)], rty[new_support])
             if new_sol is None:
                 new_sol = _lstsq_on_support(ensemble.columns(new_support), y)
         except np.linalg.LinAlgError:

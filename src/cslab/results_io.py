@@ -78,12 +78,8 @@ def format_number(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if np.isnan(v):
-        return "nan"
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return np.format_float_positional(v, precision=6, unique=False, fractional=False, trim="-")
+    return np.format_float_positional(float(value), precision=6, unique=False,
+                                      fractional=False, trim="-")
 
 
 def load_config_dict(path) -> dict:

@@ -114,8 +114,6 @@ def synthesize_vector(coeffs: np.ndarray) -> np.ndarray:
     """
     alpha = np.asarray(coeffs, dtype=float)
     B = alpha.shape[0]
-    if B == 1:
-        return alpha.copy()
     spec = np.zeros(B // 2 + 1, dtype=complex)
     spec[0] = np.sqrt(B) * alpha[0]
     if B % 2 == 0:
@@ -132,8 +130,6 @@ def analyze_vector(samples: np.ndarray) -> np.ndarray:
     """Inverse of ``synthesize_vector``: project samples onto the basis."""
     x = np.asarray(samples, dtype=float)
     B = x.shape[0]
-    if B == 1:
-        return x.copy()
     spec = np.fft.rfft(x)
     alpha = np.zeros(B)
     alpha[0] = spec[0].real / np.sqrt(B)

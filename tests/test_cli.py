@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cslab import __version__, experiments
+from cslab import __version__, experiments, sensing
 from cslab.cli import main
 from cslab.experiments import METHODS, ExperimentResult, SweepConfig, TrialRow, aggregate
 from cslab.results_io import (
@@ -44,6 +44,8 @@ class TestFormatNumber:
         assert format_number(False) == "false"
         assert format_number(float("inf")) == "inf"
         assert format_number(float("-inf")) == "-inf"
+        assert format_number(float("nan")) == "nan"
+        assert format_number(np.float64("nan")) == "nan"
         assert format_number(7) == "7"
 
 
@@ -297,14 +299,51 @@ class TestCliMain:
     @pytest.mark.parametrize("config", [{"ambient_dim": "1e9"},
                                         {"ambient_dim": 10, "band_width": 20},
                                         {"kappa0": 0}, {"base_bits": 0},
-                                        {"band_width": "4e5"}, {"base_bits": True}])
+                                        {"band_width": "4e5"}, {"base_bits": True},
+                                        {"ambient_dim": float("nan")},
+                                        {"kappa0": float("nan")},
+                                        {"base_bits": float("inf")}])
     def test_design_rules_bad_config_exit_code(self, config, tmp_path, capsys):
         path = tmp_path / "rules.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config))  # json spells the non-finite values NaN, Infinity
         assert main(["design-rules", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert all(key in err for key in config)
+
+    def test_design_rules_report_keeps_config_values(self, tmp_path, capsys):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({"ambient_dim": 64, "band_width": 4, "base_bits": 8}))
+        report = tmp_path / "report.json"
+        assert main(["design-rules", "--config", str(path), "--out", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert (data["ambient_dim"], data["band_width"], data["base_bits"]) == (64, 4, 8)
+        assert all(type(data[key]) is int for key in ("ambient_dim", "band_width", "base_bits"))
+
+    def test_malformed_json_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"ambient_dim": 64,')
+        out_dir = tmp_path / "o"
+        assert main(["noise-folding", "--config", str(path), "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value, message", [("abc", "CSLAB_THREADS must be an integer"),
+                                                ("-1", "CSLAB_THREADS must be >= 0")])
+    def test_bad_worker_count_exit_code(self, value, message, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("cslab.cli.run_sweep", no_sweep)
+        monkeypatch.setenv("CSLAB_THREADS", value)
+        out_dir = tmp_path / "o"
+        code = main(["noise-folding", "--config", str(REPO / "configs" / "noise_folding.json"),
+                     "--out", str(out_dir)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_bandpass_with_quantizer_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -416,6 +455,22 @@ class TestCliMain:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize("flags, build", [
+        (["--distribution", "subsampled_dct"],
+         lambda: sensing.generate_subsampled_dct_ensemble(12, 32, 11)),
+        (["--orthogonalize"],
+         lambda: sensing.orthogonalize_rows(sensing.generate_ensemble(12, 32, "gaussian", 11))),
+    ], ids=["subsampled_dct", "orthogonalized_gaussian"])
+    def test_rip_estimate_ensembles(self, flags, build, tmp_path, capsys):
+        report = tmp_path / "rip.json"
+        code = main(["rip-estimate", "--ambient-dim", "32", "--measurements", "12",
+                     "--sparsity", "2", "--seed", "11", *flags, "--out", str(report)])
+        assert code == 0
+        expected = sensing.estimate_rip_constant(build(), 2, mode="sampled", n_supports=200,
+                                                 rng_seed=11)
+        assert json.loads(report.read_text())["delta_hat"] == expected
+        assert f"delta_hat = {expected:.6f} (lower bound, order 2)" in capsys.readouterr().out
 
     def test_rip_estimate_zero_supports_is_an_error(self, capsys):
         code = main(["rip-estimate", "--ambient-dim", "32", "--measurements", "12",

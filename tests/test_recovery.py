@@ -15,6 +15,7 @@ from cslab.recovery import (
     oracle_recover,
 )
 from cslab.sensing import (
+    MeasurementEnsemble,
     estimate_rip_constant,
     generate_ensemble,
     generate_subsampled_dct_ensemble,
@@ -227,6 +228,20 @@ class TestNormalSolve:
         with pytest.raises(np.linalg.LinAlgError):
             _lstsq_on_support(cols, np.ones(16))
 
+    @given(st.sampled_from(["subsampled_dct", "gaussian", "rademacher"]),
+           st.integers(1, 39), st.integers(1, 29), st.integers(0, 2**32 - 1))
+    def test_refuses_every_wide_gram(self, family, n_rows, extra_cols, seed):
+        # CoSaMP relies on this: a candidate set wider than M has no branch of
+        # its own, its Gram (rank <= M) is refused and gelsd answers
+        rng = np.random.default_rng(seed)
+        if family == "subsampled_dct":
+            ens = generate_subsampled_dct_ensemble(n_rows, 8192, rng)
+        else:
+            ens = orthogonalize_rows(generate_ensemble(n_rows, 256, family, rng))
+        indices = np.sort(rng.choice(ens.cols, n_rows + extra_cols, replace=False))
+        rhs = ens.apply_transpose(rng.standard_normal(n_rows))[indices]
+        assert _normal_solve(ens.gram(indices), rhs) is None
+
 
 class TestCosamp:
     def test_noise_free_one_sparse_recovery_rate(self):
@@ -314,20 +329,73 @@ class TestCosamp:
         B, M, W = 8192, 32, 13
         ens = generate_subsampled_dct_ensemble(M, B, 27)
         sp = generate_bandlimited(B, W, "random", 28)
-        widths = []
-        original = np.linalg.lstsq
+        widths, gram_widths = [], []
+        original, original_gram = np.linalg.lstsq, ens.gram
 
         def recorded(a, b, rcond=None):
             widths.append(a.shape[1])
             return original(a, b, rcond=rcond)
 
+        def recorded_gram(indices):
+            gram_widths.append(len(indices))
+            return original_gram(indices)
+
         monkeypatch.setattr(np.linalg, "lstsq", recorded)
+        monkeypatch.setattr(ens, "gram", recorded_gram)
         out = cosamp(ens, ens.apply(sp.coeffs), W)
         assert any(width > M for width in widths)
+        # one Gram per iteration, of the candidate set, wide or not: the
+        # refit Gram is always its slice
+        assert len(gram_widths) == out.iterations
+        assert all(width >= 2 * W for width in gram_widths)
         assert out.support_hat.size == W
         assert np.count_nonzero(out.coeffs_hat) <= W
         off = np.setdiff1d(np.arange(B), out.support_hat)
         assert np.all(out.coeffs_hat[off] == 0.0)
+
+    @staticmethod
+    def _twin_columns_run(offset, monkeypatch):
+        """CoSaMP with W = 2 on a dense 8 x 16 ensemble whose column 5 is
+        column 3 plus ``offset`` times noise, with the signal on both; returns
+        the output, the signal's coefficients and the outcome of every gelsd
+        refit."""
+        rng = np.random.default_rng(31)
+        matrix = rng.standard_normal((8, 16))
+        matrix[:, 5] = matrix[:, 3] + offset * rng.standard_normal(8)
+        ens = MeasurementEnsemble(matrix=matrix)
+        alpha = np.zeros(16)
+        alpha[[3, 5]] = 1.0, -0.5
+        refits = []
+
+        def recorded(columns, y):
+            try:
+                sol = _lstsq_on_support(columns, y)
+            except np.linalg.LinAlgError:
+                refits.append("rank failure")
+                raise
+            refits.append("accepted")
+            return sol
+
+        monkeypatch.setattr(recovery, "_lstsq_on_support", recorded)
+        return cosamp(ens, ens.apply(alpha), 2), alpha, refits
+
+    def test_rank_deficient_refit_ends_the_run(self, monkeypatch):
+        # the refit Gram of the twin columns is singular: the normal solve
+        # refuses it, gelsd finds rank 1 and the run stops unconverged
+        out, _, refits = self._twin_columns_run(0.0, monkeypatch)
+        assert out.iterations == 1
+        assert not out.converged
+        assert out.support_hat.size == 0
+        nptest.assert_array_equal(out.coeffs_hat, np.zeros(16))
+        assert refits == ["rank failure"]
+
+    def test_ill_conditioned_refit_takes_gelsd(self, monkeypatch):
+        # near-twin columns: cond(G) ~ 1e11 is refused, gelsd finds full rank
+        out, alpha, refits = self._twin_columns_run(1e-5, monkeypatch)
+        assert refits and set(refits) == {"accepted"}
+        assert out.converged
+        nptest.assert_array_equal(out.support_hat, [3, 5])
+        nptest.assert_allclose(out.coeffs_hat, alpha, atol=1e-8)
 
     def test_works_with_implicit_ensembles(self):
         ens = generate_subsampled_dct_ensemble(64, 512, 21)

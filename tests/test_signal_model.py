@@ -53,11 +53,18 @@ class TestSynthesize:
         ratio = np.linalg.norm(x) / np.linalg.norm(sp.coeffs)
         assert abs(ratio - 1.0) < 1e-10
 
-    @pytest.mark.parametrize("B", [2, 3, 15, 16, 33])
+    @pytest.mark.parametrize("B", [1, 2, 3, 15, 16, 33])
     def test_analyze_inverts_synthesize(self, B):
         rng = np.random.default_rng(B)
         alpha = rng.standard_normal(B)
         nptest.assert_allclose(analyze_vector(synthesize_vector(alpha)), alpha, atol=1e-10)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.5, -2.25, 1e300, -1e300, 5e-324])
+    def test_one_bin_is_the_identity(self, value):
+        # B = 1 takes the general real-FFT path; the lone basis vector is [1]
+        alpha = np.array([value])
+        assert synthesize_vector(alpha).tobytes() == alpha.tobytes()
+        assert analyze_vector(alpha).tobytes() == alpha.tobytes()
 
 
 class TestGenerateBandlimited:
