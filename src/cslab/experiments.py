@@ -59,6 +59,7 @@ METHODS = ("oracle", "cosamp", "bandpass")
 ENSEMBLES = ("subsampled_dct", "gaussian", "rademacher")
 
 _TRIAL_BLOCK = 32  # fixed work-block size; independent of worker count
+_CONTAINMENT_CHUNK = 256  # trials per chunk of the containment campaign; sets its memory
 
 _MASK64 = (1 << 64) - 1
 
@@ -478,8 +479,18 @@ class ContainmentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.band_width > self.n_measurements:
-            raise ValueError("band_width cannot exceed n_measurements")
+        for key in ("ambient_dim", "n_measurements", "band_width", "trials", "master_seed"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        for key in ("measurement_noise_var", "signal_noise_var"):
+            # at zero the oracle-error bracket pinches to [0, 0], which roundoff
+            # misses, or the in-band noise energy, a denominator, is zero
+            value = _real(key, getattr(self, key))
+            if value <= 0:
+                raise ValueError(f"{key} must be positive; got {value!r}")
+            object.__setattr__(self, key, value)
+        if not 1 <= self.band_width <= self.n_measurements <= self.ambient_dim:
+            raise ValueError("need 1 <= band_width <= n_measurements <= ambient_dim; got "
+                             f"{self.band_width}, {self.n_measurements}, {self.ambient_dim}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -517,6 +528,15 @@ def run_bound_containment(cfg: ContainmentConfig) -> ContainmentReport:
     raises ``ValueError`` instead of reporting a vacuous bracket.
     Expectation-bearing quantities are estimated as ratios of trial-averaged
     energies (the closed forms put the expectation on the noise energies).
+
+    Trials run in chunks of ``_CONTAINMENT_CHUNK``.  Each trial still draws
+    its band start, amplitudes, measurement noise and signal noise from the
+    one trial generator in trial order, so every drawn value is that of a
+    trial-by-trial loop; a chunk then takes each operator product as one
+    block, solves each band drawn in it with one ``oracle_recover`` call on
+    the stacked measurements of both noise paths, and adds its energies and
+    its folded-noise products z z^T to running sums.  Memory therefore does
+    not grow with ``cfg.trials``.
     """
     B, M, W = cfg.ambient_dim, cfg.n_measurements, cfg.band_width
     ss = np.random.SeedSequence(cfg.master_seed)
@@ -530,48 +550,53 @@ def run_bound_containment(cfg: ContainmentConfig) -> ContainmentReport:
     msnr_isnr_bounds = theory.msnr_over_isnr_bounds(W, B, delta_hat)
     isnr_rsnr_bounds = theory.noise_folding_bounds(rho, delta_hat)
 
-    sq_err_sum = 0.0
-    meas_energy_sum = 0.0
-    folded_noise_energy_sum = 0.0
-    alpha_energy_sum = 0.0
-    inband_noise_sum = 0.0
-    folded_err_sum = 0.0
     T = cfg.trials
+    sigma_e = math.sqrt(cfg.measurement_noise_var)
+    sigma_n = math.sqrt(cfg.signal_noise_var)
+    band = np.arange(W)
+    sq_err_sum = folded_err_sum = 0.0
+    meas_energy_sum = folded_noise_energy_sum = alpha_energy_sum = inband_noise_sum = 0.0
+    folded_gram = np.zeros((M, M))  # sum over trials of z z^T, z the folded signal noise
+    for lo in range(0, T, _CONTAINMENT_CHUNK):
+        size = min(_CONTAINMENT_CHUNK, T - lo)
+        # trial by trial, the draws of a per-trial loop in its order: the band
+        # start, then W amplitudes, M measurement-noise and B signal-noise values
+        starts = np.empty(size, dtype=int)
+        draws = np.empty((size, W + M + B))
+        for t in range(size):
+            starts[t] = rng.integers(0, B - W + 1)
+            rng.standard_normal(out=draws[t])
+        trial = np.arange(size)[:, None]
+        supports = starts[:, None] + band  # row t: the support of trial t
+        amplitudes = draws[:, :W]
+        noise = sigma_n * draws[:, W + M:].T  # one trial per column, as all blocks below
+        coeffs = np.zeros((B, size))
+        coeffs[supports, trial] = amplitudes
 
-    sigma_e = np.sqrt(cfg.measurement_noise_var)
-    sigma_n = np.sqrt(cfg.signal_noise_var)
-    folded = np.empty((M, T))
-    for t in range(T):
-        start = int(rng.integers(0, B - W + 1))
-        support = np.arange(start, start + W)
-        coeffs = np.zeros(B)
-        coeffs[support] = rng.standard_normal(W)
-
-        # white measurement-noise path
-        e = sigma_e * rng.standard_normal(M)
         clean = ens.apply(coeffs)
-        y = clean + e
-        out = recovery.oracle_recover(ens, y, support)
-        sq_err_sum += float(np.sum((out.coeffs_hat - coeffs) ** 2))
-
-        # white signal-noise path
-        n = sigma_n * rng.standard_normal(B)
-        zn = ens.apply(n)
-        folded[:, t] = zn
-        y2 = ens.apply(coeffs + n)
-        out2 = recovery.oracle_recover(ens, y2, support)
-        folded_err_sum += float(np.sum((out2.coeffs_hat - coeffs) ** 2))
+        y = clean + sigma_e * draws[:, W:W + M].T  # white measurement-noise path
+        folded = ens.apply(noise)
+        y2 = ens.apply(coeffs + noise)  # white signal-noise path
+        for start in np.flatnonzero(np.bincount(starts)):  # the bands drawn in this chunk
+            cols = np.flatnonzero(starts == start)
+            support = band + start
+            out = recovery.oracle_recover(ens, np.hstack([y[:, cols], y2[:, cols]]), support)
+            sol = out.coeffs_hat[support]
+            truth = amplitudes[cols].T
+            sq_err_sum += float(np.sum((sol[:, :cols.size] - truth) ** 2))
+            folded_err_sum += float(np.sum((sol[:, cols.size:] - truth) ** 2))
         meas_energy_sum += float(np.sum(clean**2))
-        folded_noise_energy_sum += float(np.sum(zn**2))
-        alpha_energy_sum += float(np.sum(coeffs**2))
-        inband_noise_sum += float(np.sum(n[support] ** 2))
+        folded_noise_energy_sum += float(np.sum(folded**2))
+        alpha_energy_sum += float(np.sum(amplitudes**2))
+        inband_noise_sum += float(np.sum(noise[supports, trial] ** 2))
+        folded_gram += folded @ folded.T
 
     oracle_err_mean = sq_err_sum / T
     msnr_isnr = (meas_energy_sum / folded_noise_energy_sum) / (alpha_energy_sum / inband_noise_sum)
     isnr_rsnr = (folded_err_sum / T) / (inband_noise_sum / T)
 
     target_var = rho * cfg.signal_noise_var
-    cov = folded @ folded.T / T
+    cov = folded_gram / T
     diag = np.diag(cov)
     var_rel_err = float(np.max(np.abs(diag - target_var)) / target_var)
     off = cov - np.diag(diag)

@@ -89,6 +89,12 @@ def oracle_recover(ensemble, y: np.ndarray, support,
     the extracted columns, which raises on a rank-deficient column submatrix
     (the support is then not identifiable from these measurements).  ``rty``
     is R.T @ y when the caller has it already.
+
+    ``y`` is one measurement vector (length M) or a block of n of them
+    (M x n, one per column), all on this support; a block is solved with one
+    Gram, one inverse and one product, or one gelsd call, and ``coeffs_hat``
+    is then B x n.  ``rty`` of a block needs an ensemble whose
+    ``apply_transpose`` takes blocks (the dense families) or the caller's own.
     """
     support = np.sort(np.asarray(support, dtype=int))
     y = np.asarray(y, dtype=float)
@@ -99,7 +105,7 @@ def oracle_recover(ensemble, y: np.ndarray, support,
     sol = _normal_solve(ensemble.gram(support), rty[support])
     if sol is None:
         sol = _lstsq_on_support(ensemble.columns(support), y)
-    coeffs = np.zeros(ensemble.cols)
+    coeffs = np.zeros((ensemble.cols,) + y.shape[1:])
     coeffs[support] = sol
     return RecoveryOutput(coeffs_hat=coeffs, support_hat=support)
 

@@ -144,12 +144,16 @@ class MeasurementEnsemble:
         return self._plan
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """R @ v."""
+        """R @ v: v is a length-B vector, or for the dense families also a
+        B x n block of columns."""
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.cols:
             raise ValueError("dimension mismatch")
         if self._matrix is not None:
             return self._matrix @ v
+        if v.ndim != 1:
+            raise ValueError("the subsampled-DCT operator applies to one vector at a time; "
+                             f"got shape {v.shape}")
         bins, forward, _, _, even_signs, odd_signs = self._fft_plan()
         n_even = even_signs.size
         reordered = np.empty(self.cols)
@@ -158,12 +162,16 @@ class MeasurementEnsemble:
         return (forward * np.fft.rfft(reordered)[bins]).real.copy()
 
     def apply_transpose(self, r: np.ndarray) -> np.ndarray:
-        """R.T @ r."""
+        """R.T @ r: r is a length-M vector, or for the dense families also an
+        M x n block of columns."""
         r = np.asarray(r, dtype=float)
         if r.shape[0] != self.rows:
             raise ValueError("dimension mismatch")
         if self._matrix is not None:
             return self._matrix.T @ r
+        if r.ndim != 1:
+            raise ValueError("the subsampled-DCT operator applies to one vector at a time; "
+                             f"got shape {r.shape}")
         bins, _, adjoint, n_low, even_signs, odd_signs = self._fft_plan()
         B, n_even = self.cols, even_signs.size
         spectrum = np.zeros(B // 2 + 1, dtype=complex)

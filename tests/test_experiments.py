@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import functools
 import multiprocessing
 
@@ -6,11 +7,12 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from cslab import experiments, recovery, sensing
+from cslab import experiments, recovery, sensing, theory
 from cslab.experiments import (
     METHODS,
     ConfigDivisibilityError,
     ContainmentConfig,
+    ContainmentReport,
     QuantizerSweepSpec,
     SweepConfig,
     aggregate,
@@ -420,7 +422,110 @@ class TestAggregate:
             assert 0.0 <= s.support_exact_rate <= 1.0
 
 
+def _per_trial_containment(cfg: ContainmentConfig) -> ContainmentReport:
+    """``run_bound_containment`` one trial at a time, with a matrix-vector
+    product per operator application, two ``oracle_recover`` calls per trial
+    and the folded noise of every trial kept: the reference for the chunked
+    campaign."""
+    B, M, W = cfg.ambient_dim, cfg.n_measurements, cfg.band_width
+    c_ens, c_trials = np.random.SeedSequence(cfg.master_seed).spawn(2)
+    rng = np.random.default_rng(c_trials)
+    ens = sensing.orthogonalize_rows(sensing.generate_ensemble(M, B, "gaussian", c_ens))
+    delta_hat = sensing.estimate_rip_constant(ens, W, mode="exhaustive")
+    rho = B / M
+    oracle_bounds = theory.expected_oracle_error_bounds(W, cfg.measurement_noise_var, delta_hat)
+    msnr_isnr_bounds = theory.msnr_over_isnr_bounds(W, B, delta_hat)
+    isnr_rsnr_bounds = theory.noise_folding_bounds(rho, delta_hat)
+
+    T = cfg.trials
+    sigma_e = np.sqrt(cfg.measurement_noise_var)
+    sigma_n = np.sqrt(cfg.signal_noise_var)
+    sq_err_sum = meas_energy_sum = folded_noise_energy_sum = 0.0
+    alpha_energy_sum = inband_noise_sum = folded_err_sum = 0.0
+    folded = np.empty((M, T))
+    for t in range(T):
+        start = int(rng.integers(0, B - W + 1))
+        support = np.arange(start, start + W)
+        coeffs = np.zeros(B)
+        coeffs[support] = rng.standard_normal(W)
+
+        e = sigma_e * rng.standard_normal(M)
+        clean = ens.apply(coeffs)
+        out = recovery.oracle_recover(ens, clean + e, support)
+        sq_err_sum += float(np.sum((out.coeffs_hat - coeffs) ** 2))
+
+        n = sigma_n * rng.standard_normal(B)
+        zn = ens.apply(n)
+        folded[:, t] = zn
+        out2 = recovery.oracle_recover(ens, ens.apply(coeffs + n), support)
+        folded_err_sum += float(np.sum((out2.coeffs_hat - coeffs) ** 2))
+        meas_energy_sum += float(np.sum(clean**2))
+        folded_noise_energy_sum += float(np.sum(zn**2))
+        alpha_energy_sum += float(np.sum(coeffs**2))
+        inband_noise_sum += float(np.sum(n[support] ** 2))
+
+    oracle_err_mean = sq_err_sum / T
+    msnr_isnr = (meas_energy_sum / folded_noise_energy_sum) / (alpha_energy_sum / inband_noise_sum)
+    isnr_rsnr = (folded_err_sum / T) / (inband_noise_sum / T)
+    target_var = rho * cfg.signal_noise_var
+    cov = folded @ folded.T / T
+    diag = np.diag(cov)
+    var_rel_err = float(np.max(np.abs(diag - target_var)) / target_var)
+    offdiag_rel = float(np.max(np.abs(cov - np.diag(diag))) / target_var)
+    return ContainmentReport(
+        delta_hat=float(delta_hat),
+        oracle_error_mean=float(oracle_err_mean),
+        oracle_error_bounds=oracle_bounds,
+        oracle_error_ok=oracle_bounds[0] <= oracle_err_mean <= oracle_bounds[1],
+        msnr_over_isnr=float(msnr_isnr),
+        msnr_over_isnr_bounds=msnr_isnr_bounds,
+        msnr_over_isnr_ok=msnr_isnr_bounds[0] <= msnr_isnr <= msnr_isnr_bounds[1],
+        isnr_over_rsnr=float(isnr_rsnr),
+        isnr_over_rsnr_bounds=isnr_rsnr_bounds,
+        isnr_over_rsnr_ok=isnr_rsnr_bounds[0] <= isnr_rsnr <= isnr_rsnr_bounds[1],
+        folded_var_rel_err=var_rel_err,
+        folded_offdiag_max_rel=offdiag_rel,
+        whiteness_ok=bool(var_rel_err <= 0.10 and offdiag_rel <= 0.05),
+    )
+
+
 class TestBoundContainment:
+    @pytest.mark.parametrize("kwargs", [
+        {"master_seed": 0},  # the criterion-2/3 instance, full size
+        {"trials": 2000, "master_seed": 1},
+        {"trials": 2000, "master_seed": 2},
+        {"ambient_dim": 16, "n_measurements": 16, "trials": 2000, "master_seed": 1},  # rho = 1
+        {"trials": 1, "master_seed": 3},
+        {"trials": experiments._CONTAINMENT_CHUNK + 1, "master_seed": 4},
+        {"trials": 1500, "master_seed": 5},
+        {"trials": 1500, "measurement_noise_var": 0.3, "signal_noise_var": 2.5},
+        {"trials": 1500, "measurement_noise_var": 4.0, "signal_noise_var": 0.5, "master_seed": 6},
+    ])
+    def test_matches_the_per_trial_reference(self, kwargs):
+        cfg = ContainmentConfig(**kwargs)
+        got, ref = run_bound_containment(cfg), _per_trial_containment(cfg)
+        for f in dataclasses.fields(ContainmentReport):
+            value, expected = getattr(got, f.name), getattr(ref, f.name)
+            if isinstance(expected, (bool, tuple)):
+                assert value == expected, f.name
+            else:
+                assert value == pytest.approx(expected, rel=1e-12, abs=0), f.name
+        assert got.all_ok == ref.all_ok
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"measurement_noise_var": -1.0}, ValueError),
+        ({"measurement_noise_var": 0.0}, ValueError),
+        ({"signal_noise_var": 0.0}, ValueError),
+        ({"signal_noise_var": float("nan")}, ValueError),
+        ({"trials": 2.5}, TypeError),
+        ({"master_seed": True}, TypeError),
+        ({"band_width": 0}, ValueError),
+        ({"ambient_dim": 8}, ValueError),  # fewer columns than the 16 rows
+    ])
+    def test_config_rejects_bad_input(self, kwargs, error):
+        with pytest.raises(error, match=next(iter(kwargs))):
+            ContainmentConfig(**kwargs)
+
     def test_small_campaign_all_brackets_hold(self):
         # the 0.05 off-diagonal whiteness threshold needs the full 10^4 draws
         rep = run_bound_containment(ContainmentConfig(trials=10_000, master_seed=0))

@@ -105,6 +105,41 @@ class TestOracleRecover:
         nptest.assert_allclose(out.coeffs_hat[support], _gelsd(ens.columns(support), y),
                                rtol=1e-9)
 
+    @staticmethod
+    def _block_against_columns(ens, support, monkeypatch):
+        """Solve a block of measurements in one call and column by column;
+        return both and the column counts that reached gelsd."""
+        ys = np.random.default_rng(27).standard_normal((ens.rows, 5))
+        gelsd_cols = []
+        original = recovery._lstsq_on_support
+
+        def recorded(columns, y):
+            gelsd_cols.append(y.shape[1:])
+            return original(columns, y)
+
+        monkeypatch.setattr(recovery, "_lstsq_on_support", recorded)
+        block = oracle_recover(ens, ys, support)
+        columns = np.column_stack([oracle_recover(ens, y, support).coeffs_hat for y in ys.T])
+        assert block.coeffs_hat.shape == (ens.cols, 5)
+        nptest.assert_array_equal(block.support_hat, np.sort(support))
+        return block.coeffs_hat, columns, gelsd_cols
+
+    def test_block_equals_columns_on_the_normal_solve(self, monkeypatch):
+        ens = orthogonalize_rows(generate_ensemble(16, 32, "gaussian", 1))
+        block, columns, gelsd_cols = self._block_against_columns(ens, [9, 3, 4], monkeypatch)
+        assert gelsd_cols == []
+        nptest.assert_allclose(block, columns, rtol=1e-12, atol=1e-14)
+
+    def test_block_equals_columns_through_gelsd(self, monkeypatch):
+        # near-twin columns: cond(G) ~ 1e12 is refused, gelsd finds full rank
+        rng = np.random.default_rng(28)
+        mat = rng.standard_normal((16, 32))
+        mat[:, 5] = mat[:, 2] + 1e-6 * rng.standard_normal(16)
+        ens = MeasurementEnsemble(matrix=mat)
+        block, columns, gelsd_cols = self._block_against_columns(ens, [2, 5, 11], monkeypatch)
+        assert gelsd_cols == [(5,)] + [()] * 5
+        nptest.assert_allclose(block, columns, rtol=1e-9)
+
     def test_expected_error_bracket_under_white_noise(self):
         # Monte Carlo E||ahat - a||^2 within [W v/(1+d), W v/(1-d)]
         ens = orthogonalize_rows(generate_ensemble(16, 32, "gaussian", 1))

@@ -68,6 +68,26 @@ class TestSubsampledDct:
         nptest.assert_allclose(ens.apply_transpose(r), reference.T @ r, atol=1e-12)
         nptest.assert_allclose(ens.matrix, reference, atol=1e-12)
 
+    @pytest.mark.parametrize("B, M", [(64, 1), (64, 37), (64, 64), (9216, 4096), (20000, 300),
+                                      (20000, 500), (20000, 19999)])
+    def test_row_draw_is_the_shuffled_draw_sorted(self, B, M):
+        # pins the kept rows to numpy's shuffled draw: choice(..., shuffle=False)
+        # is not a faster equal, since for B > 10000 it moves the switch from
+        # Floyd's algorithm to a tail shuffle from M > B // 50 to M > B // 20,
+        # which draws another set at (20000, 500)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 2, size=B)  # the signs come first
+            expected = np.sort(rng.choice(B, size=M, replace=False))
+            ens = generate_subsampled_dct_ensemble(M, B, seed)
+            nptest.assert_array_equal(ens._selected, expected)
+
+    @pytest.mark.parametrize("method, length", [("apply", 64), ("apply_transpose", 16)])
+    def test_operator_rejects_a_block(self, method, length):
+        ens = generate_subsampled_dct_ensemble(16, 64, 5)
+        with pytest.raises(ValueError, match=r"got shape \({}, 3\)".format(length)):
+            getattr(ens, method)(np.ones((length, 3)))
+
     def test_square_case_is_orthogonal(self):
         ens = generate_subsampled_dct_ensemble(16, 16, 1)
         nptest.assert_allclose(ens.matrix @ ens.matrix.T, np.eye(16), atol=1e-12)
