@@ -491,6 +491,11 @@ class ContainmentConfig:
         if not 1 <= self.band_width <= self.n_measurements <= self.ambient_dim:
             raise ValueError("need 1 <= band_width <= n_measurements <= ambient_dim; got "
                              f"{self.band_width}, {self.n_measurements}, {self.ambient_dim}")
+        # the exhaustive isometry constant enumerates every band_width-column support
+        if math.comb(self.ambient_dim, self.band_width) > sensing.EXHAUSTIVE_SUPPORT_LIMIT:
+            raise ValueError(
+                f"ambient_dim={self.ambient_dim} and band_width={self.band_width} give "
+                f"more than {sensing.EXHAUSTIVE_SUPPORT_LIMIT} supports to enumerate")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -529,14 +534,18 @@ def run_bound_containment(cfg: ContainmentConfig) -> ContainmentReport:
     Expectation-bearing quantities are estimated as ratios of trial-averaged
     energies (the closed forms put the expectation on the noise energies).
 
+    Least squares is linear in y, so the oracle solve of each of the
+    B - W + 1 bands is one W x M operator: ``oracle_recover`` solves the
+    M x M identity block on that band once per campaign, after the brackets.
+    The constant is below 1 by then, so every band's columns have full rank.
     Trials run in chunks of ``_CONTAINMENT_CHUNK``.  Each trial still draws
     its band start, amplitudes, measurement noise and signal noise from the
     one trial generator in trial order, so every drawn value is that of a
     trial-by-trial loop; a chunk then takes each operator product as one
-    block, solves each band drawn in it with one ``oracle_recover`` call on
-    the stacked measurements of both noise paths, and adds its energies and
-    its folded-noise products z z^T to running sums.  Memory therefore does
-    not grow with ``cfg.trials``.
+    block, applies each trial's band operator to both noise paths in one
+    batched product, and adds its energies and its folded-noise products
+    z z^T to running sums.  Memory therefore does not grow with
+    ``cfg.trials``.
     """
     B, M, W = cfg.ambient_dim, cfg.n_measurements, cfg.band_width
     ss = np.random.SeedSequence(cfg.master_seed)
@@ -554,6 +563,9 @@ def run_bound_containment(cfg: ContainmentConfig) -> ContainmentReport:
     sigma_e = math.sqrt(cfg.measurement_noise_var)
     sigma_n = math.sqrt(cfg.signal_noise_var)
     band = np.arange(W)
+    # ops[s] @ y is the oracle solve of y on the band starting at s
+    ops = np.stack([recovery.oracle_recover(ens, np.eye(M), band + s).coeffs_hat[band + s]
+                    for s in range(B - W + 1)])
     sq_err_sum = folded_err_sum = 0.0
     meas_energy_sum = folded_noise_energy_sum = alpha_energy_sum = inband_noise_sum = 0.0
     folded_gram = np.zeros((M, M))  # sum over trials of z z^T, z the folded signal noise
@@ -577,14 +589,10 @@ def run_bound_containment(cfg: ContainmentConfig) -> ContainmentReport:
         y = clean + sigma_e * draws[:, W:W + M].T  # white measurement-noise path
         folded = ens.apply(noise)
         y2 = ens.apply(coeffs + noise)  # white signal-noise path
-        for start in np.flatnonzero(np.bincount(starts)):  # the bands drawn in this chunk
-            cols = np.flatnonzero(starts == start)
-            support = band + start
-            out = recovery.oracle_recover(ens, np.hstack([y[:, cols], y2[:, cols]]), support)
-            sol = out.coeffs_hat[support]
-            truth = amplitudes[cols].T
-            sq_err_sum += float(np.sum((sol[:, :cols.size] - truth) ** 2))
-            folded_err_sum += float(np.sum((sol[:, cols.size:] - truth) ** 2))
+        # row t: trial t's solves on both noise paths, size x W x 2
+        sol = ops[starts] @ np.stack([y.T, y2.T], axis=2)
+        sq_err_sum += float(np.sum((sol[:, :, 0] - amplitudes) ** 2))
+        folded_err_sum += float(np.sum((sol[:, :, 1] - amplitudes) ** 2))
         meas_energy_sum += float(np.sum(clean**2))
         folded_noise_energy_sum += float(np.sum(folded**2))
         alpha_energy_sum += float(np.sum(amplitudes**2))

@@ -1,8 +1,6 @@
+import dataclasses
 import json
-import os
 import platform
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +86,22 @@ class TestParseConfig:
             ensemble="subsampled_dct",
             measurement_noise_var=0.0,
         )
+
+    def test_quantizer_sweep_base8_fixture_is_the_second_geometry(self, tmp_path, monkeypatch):
+        # criterion 6's second geometry: the committed quantizer sweep at 8 base bits
+        base4 = build_sweep_config(load_config_dict(REPO / "configs" / "quantizer_sweep.json"))
+        path = REPO / "configs" / "quantizer_sweep_base8.json"
+        base8 = build_sweep_config(load_config_dict(path))
+        assert base8 == dataclasses.replace(
+            base4, quantizer=dataclasses.replace(base4.quantizer, base_bits=8))
+        monkeypatch.setenv("CSLAB_THREADS", "1")
+        out = tmp_path / "out"
+        assert main(["quantizer-sweep", "--config", str(path), "--trials", "1",
+                     "--out", str(out)]) == 0
+        points = json.loads((out / "summary.json").read_text())["points"]
+        bits = {p["rho"]: p["bits"] for p in points}
+        assert bits[1] == 8
+        assert bits[256] == 18  # eight octaves at about 1.309 bits each
 
     def test_config_hash_stable_under_key_order(self):
         a = {"ambient_dim": 64, "rho_list": [2], "band_width": 2}
@@ -569,20 +583,3 @@ class TestCliMain:
                               "rho_cs", "noise_figure_db", "bit_gain", "projected_bits",
                               "projected_dr_db", "reduced_rate_hz"]
         assert data["reduced_rate_hz"] == pytest.approx(data["ambient_dim"] / data["rho_cs"])
-
-
-class TestScripts:
-    def test_quantizer_sweep_script_overrides_base_bits(self, tmp_path):
-        # the script rewrites the committed config into a temporary file
-        env = dict(os.environ, CSLAB_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, str(REPO / "scripts" / "run_quantizer_sweep.py"),
-             "--base-bits", "8", "--trials", "1"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        points = json.loads((tmp_path / "out_quantizer_sweep" / "summary.json").read_text())
-        bits = {p["rho"]: p["bits"] for p in points["points"]}
-        assert bits[1] == 8
-        assert bits[256] == 18  # eight octaves at about 1.309 bits each

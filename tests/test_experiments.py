@@ -521,6 +521,8 @@ class TestBoundContainment:
         ({"master_seed": True}, TypeError),
         ({"band_width": 0}, ValueError),
         ({"ambient_dim": 8}, ValueError),  # fewer columns than the 16 rows
+        # C(20000, 3) supports, far over the exhaustive limit
+        ({"ambient_dim": 20000, "n_measurements": 64, "band_width": 3}, ValueError),
     ])
     def test_config_rejects_bad_input(self, kwargs, error):
         with pytest.raises(error, match=next(iter(kwargs))):
@@ -562,6 +564,22 @@ class TestBoundContainment:
         # orthogonalized rows of the default B=32, M=16 instance: R R^T = (B/M) I
         np.testing.assert_allclose(seen[0].matrix @ seen[0].matrix.T, 2 * np.eye(16), atol=1e-12)
         assert rep.delta_hat == estimate(seen[0], 2, mode="exhaustive")
+
+    @pytest.mark.parametrize("trials", [1, experiments._CONTAINMENT_CHUNK + 1, 10_000])
+    def test_one_solve_per_band_per_campaign(self, trials, monkeypatch):
+        solve = recovery.oracle_recover
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "oracle_recover", counted)
+        cfg = ContainmentConfig(trials=trials)
+        run_bound_containment(cfg)
+        B, W = cfg.ambient_dim, cfg.band_width
+        assert len(calls) == B - W + 1
+        assert sorted(int(support[0]) for support in calls) == list(range(B - W + 1))
 
     def test_isometry_constant_above_one_fails_before_trials(self, monkeypatch):
         # B=32, M=8, W=2 at seed 0 has an exhaustive delta of about 1.65

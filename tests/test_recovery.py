@@ -140,6 +140,38 @@ class TestOracleRecover:
         assert gelsd_cols == [(5,)] + [()] * 5
         nptest.assert_allclose(block, columns, rtol=1e-9)
 
+    @staticmethod
+    def _identity_block_operator_solves(ens, support, rtol, atol=0.0):
+        """The solve of the M x M identity block on ``support`` is the W x M
+        least-squares operator P: P @ y is the solve of any y."""
+        op = oracle_recover(ens, np.eye(ens.rows), support).coeffs_hat[support]
+        assert op.shape == (support.size, ens.rows)
+        for y in np.random.default_rng(29).standard_normal((5, ens.rows)):
+            nptest.assert_allclose(op @ y, oracle_recover(ens, y, support).coeffs_hat[support],
+                                   rtol=rtol, atol=atol)
+
+    def test_identity_block_operator_on_the_normal_solve(self, monkeypatch):
+        ens = orthogonalize_rows(generate_ensemble(16, 32, "gaussian", 1))
+        monkeypatch.setattr(recovery, "_lstsq_on_support", None)  # gelsd must not run
+        self._identity_block_operator_solves(ens, np.array([3, 4, 9]), rtol=1e-12, atol=1e-14)
+
+    def test_identity_block_operator_through_gelsd(self, monkeypatch):
+        # near-twin columns: cond(G) ~ 1e12 is refused, gelsd finds full rank
+        rng = np.random.default_rng(28)
+        mat = rng.standard_normal((16, 32))
+        mat[:, 5] = mat[:, 2] + 1e-6 * rng.standard_normal(16)
+        gelsd_shapes = []
+        original = recovery._lstsq_on_support
+
+        def recorded(columns, y):
+            gelsd_shapes.append(y.shape)
+            return original(columns, y)
+
+        monkeypatch.setattr(recovery, "_lstsq_on_support", recorded)
+        self._identity_block_operator_solves(MeasurementEnsemble(matrix=mat),
+                                             np.array([2, 5, 11]), rtol=1e-9)
+        assert gelsd_shapes == [(16, 16)] + [(16,)] * 5
+
     def test_expected_error_bracket_under_white_noise(self):
         # Monte Carlo E||ahat - a||^2 within [W v/(1+d), W v/(1-d)]
         ens = orthogonalize_rows(generate_ensemble(16, 32, "gaussian", 1))
