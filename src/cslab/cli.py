@@ -6,11 +6,7 @@ names: the config alone decides which of signal noise, measurement noise and
 quantization apply.  Sweeps read a JSON config (see README for the schema),
 accept --seed / --trials overrides, and persist rows, summary, plot data,
 and a run manifest into --out.  The CSLAB_THREADS environment variable caps
-the worker count (0 = one worker per CPU; unset = serial).  Sweeps run
-numpy's OpenBLAS on one thread, serially and in every worker: their LAPACK
-calls are too small for a second BLAS thread to pay, and pooled workers must
-not oversubscribe the cores (README, "Worker count").  A user-set
-OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is respected.
+the worker count (0 = one worker per CPU; unset = serial).
 """
 
 from __future__ import annotations

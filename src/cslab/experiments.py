@@ -14,26 +14,17 @@ scheduling.  Every trial derives its own seed from
 is split into fixed-size blocks that do not depend on the worker count, and
 the blocks' rows are joined in submission order, which both the serial loop
 and ``Executor.map`` keep.
-
-A sweep runs numpy's OpenBLAS on one thread, serially and in every worker:
-its LAPACK calls (one ``inv`` of a Gram of a few dozen columns with a
-Frobenius condition bound, gelsd on a column block) are too small for a
-second BLAS thread to pay, and pooled workers would oversubscribe the cores.
-A user-set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is left in force.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 import math
 import numbers
 import operator
 import os
 import platform
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -340,60 +331,6 @@ def _resolve_workers(n_workers: int) -> int:
     return max(1, n_workers)
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-@functools.cache
-def _openblas():
-    """``(get_num_threads, set_num_threads)`` of the OpenBLAS bundled with the
-    numpy wheel, or None when there is none."""
-    pkg = Path(np.__file__).parent
-    libs = sorted([*pkg.parent.glob("numpy.libs/*openblas*"), *pkg.glob(".dylibs/*openblas*")])
-    for lib in libs:
-        try:
-            dll = ctypes.CDLL(str(lib))  # the handle numpy holds when it is loaded already
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas_", "openblas_"):  # numpy >= 2.0 and 1.x wheels
-            try:
-                get = getattr(dll, f"{prefix}get_num_threads64_")
-                set_ = getattr(dll, f"{prefix}set_num_threads64_")
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-def _cap_blas_threads() -> int | None:
-    """Put numpy's OpenBLAS on one thread and return the count it had.
-
-    Changes nothing and returns None when no OpenBLAS was found or the user
-    set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS.  Also the pool initializer.
-    """
-    blas = _openblas()
-    if blas is None or any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
-        return None
-    before = blas[0]()
-    blas[1](1)
-    return before
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread and restore the
-    earlier count on exit.  Yields the count in effect, None when no OpenBLAS
-    was found."""
-    before = _cap_blas_threads()
-    blas = _openblas()
-    try:
-        yield None if blas is None else blas[0]()
-    finally:
-        if before is not None:
-            blas[1](before)
-
-
 def run_sweep(cfg: SweepConfig, n_workers: int = 1) -> ExperimentResult:
     """Sweep recovery SNR against subsampling.
 
@@ -411,19 +348,20 @@ def run_sweep(cfg: SweepConfig, n_workers: int = 1) -> ExperimentResult:
             hi = min(lo + _TRIAL_BLOCK, cfg.trials_per_point)
             blocks.append((cfg, point_index, rho, isnr_target, lo, hi))
     workers = _resolve_workers(n_workers)
-    with _one_blas_thread() as blas_threads:
-        if workers == 1:
-            block_rows = [_run_block(b) for b in blocks]
-        else:
-            # imported here, so that only a pooled sweep loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    if workers == 1:
+        block_rows = [_run_block(b) for b in blocks]
+    else:
+        # imported here, so that only a pooled sweep loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads) as pool:
-                block_rows = list(pool.map(_run_block, blocks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            block_rows = list(pool.map(_run_block, blocks))
     rows = [row for block in block_rows for row in block]
     environment = {
         "workers": workers,
-        "blas_threads": blas_threads,
+        # the BLAS sizes its own thread pool; these settings (None when unset) steer it
+        "blas_thread_env": {v: os.environ.get(v)
+                            for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         "affinity_cpus": _affinity_cpus(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -1,6 +1,9 @@
 """Config ingestion and result persistence.
 
-Configs are JSON key-value trees validated strictly (unknown keys rejected).
+Configs are JSON key-value trees validated strictly (unknown keys rejected):
+a sweep config is ``build_sweep_config(load_config_dict(path))``, whose
+accepted keys are the fields of ``SweepConfig`` and, under ``quantizer``, of
+``QuantizerSweepSpec``.
 Row files have one column per ``TrialRow`` field, in declaration order, and
 each column is parsed by its field's declared type; numeric fields are
 serialized with 6 significant digits in fixed notation.  Summaries are
@@ -164,8 +167,8 @@ def write_results(result: ExperimentResult, out_dir, config_dict: dict | None = 
 
     Rows, summary, and plot data are byte-deterministic for an identical
     result; the manifest carries a wall-clock timestamp and the
-    sweep's runtime environment (worker count, BLAS threads, affinity CPUs,
-    library versions).  Each file is written to a temporary file in
+    sweep's runtime environment (worker count, BLAS thread settings,
+    affinity CPUs, library versions).  Each file is written to a temporary file in
     ``out_dir`` and renamed into place, so a failed run never leaves a partly
     written file.  When ``summaries`` is a list, the per-point summaries
     written to summary.json are appended to it, so a caller can report them

@@ -16,8 +16,11 @@ A ``MeasurementEnsemble`` holds either the dense matrix or the (signs,
 selected rows) pair, never both, and takes its shape from those arrays.
 ``gram(L)`` returns the k x k block ``R[:, L].T @ R[:, L]`` that the
 least-squares solvers need; for ``subsampled_dct`` it is read in closed form
-off one cosine-sum kernel per ensemble, without extracting the M x k columns
-(``columns(L)``, one ``cos`` per entry, which recovery needs only for gelsd).
+off one cosine-sum kernel per ensemble (2B floats), without extracting the
+M x k columns (``columns(L)``, one ``cos`` per entry with nothing tabulated,
+which recovery needs only for gelsd).  The dense families' ``apply`` and
+``apply_transpose`` also take a block of columns; ``subsampled_dct`` takes
+one vector and raises ``ValueError`` on a block.
 
 ``orthogonalize_rows`` turns any full-row-rank ensemble into one with
 ``R @ R.T == rho * I`` on the same row space (reduced SVD, keep the right

@@ -389,8 +389,8 @@ class TestCliMain:
                "methods": ["oracle"]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        for var in experiments._BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
         outputs = []
         for run, workers in (("a", "1"), ("b", "2")):
             monkeypatch.setenv("CSLAB_THREADS", workers)
@@ -403,7 +403,7 @@ class TestCliMain:
             environment = json.loads((out_dir / "manifest.json").read_text())["environment"]
             assert environment == {
                 "workers": int(workers),
-                "blas_threads": None if experiments._openblas() is None else 1,
+                "blas_thread_env": {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "1"},
                 "affinity_cpus": experiments._affinity_cpus(),
                 "python": platform.python_version(),
                 "numpy": np.__version__,

@@ -324,84 +324,15 @@ def _tiny_quant_cfg():
                        master_seed=4, quantizer=QuantizerSweepSpec(base_bits=4))
 
 
-needs_openblas = pytest.mark.skipif(
-    experiments._openblas() is None,
-    reason="this numpy bundles no OpenBLAS with a thread-count symbol")
-
-
-def _blas_threads() -> int:
-    return experiments._openblas()[0]()
-
-
-def _block_reporting_blas_threads(args):
-    """Stand-in for ``experiments._run_block``: one row, the BLAS thread count
-    of the process that ran the block."""
-    return [_blas_threads()]
-
-
-@pytest.fixture
-def blas_at_two_threads(monkeypatch):
-    """No user thread setting, and OpenBLAS at two threads so that one is a
-    change; the earlier count is put back afterwards."""
-    for var in experiments._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    get, set_ = experiments._openblas()
-    before = get()
-    set_(2)
-    assert get() == 2
-    yield
-    set_(before)
-
-
-@needs_openblas
-class TestOneBlasThread:
-    def test_one_thread_inside_earlier_count_after(self, blas_at_two_threads):
-        with experiments._one_blas_thread() as threads:
-            assert threads == _blas_threads() == 1
-        assert _blas_threads() == 2
-        with pytest.raises(RuntimeError, match="body failed"):
-            with experiments._one_blas_thread():
-                assert _blas_threads() == 1
-                raise RuntimeError("body failed")
-        assert _blas_threads() == 2
-
-    @pytest.mark.parametrize("var", experiments._BLAS_THREAD_VARS)
-    def test_user_setting_left_in_force(self, blas_at_two_threads, monkeypatch, var):
-        monkeypatch.setenv(var, "2")
-        with experiments._one_blas_thread() as threads:
-            assert threads == _blas_threads() == 2
-        assert _blas_threads() == 2
-        assert experiments._cap_blas_threads() is None
-        assert _blas_threads() == 2
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sweep_restores_count_and_records_it(self, blas_at_two_threads, workers):
-        res = run_sweep(_tiny_quant_cfg(), n_workers=workers)
-        assert _blas_threads() == 2
-        assert res.environment["blas_threads"] == 1
-        assert res.environment["workers"] == workers
-
-    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
-    def test_pool_worker_runs_one_thread(self, blas_at_two_threads, monkeypatch, method):
-        # a spawned or forkserver worker starts at OpenBLAS's default count,
-        # so only the pool initializer brings it to one; run_sweep imports the
-        # pool class from concurrent.futures when it starts a pool
-        pool = functools.partial(concurrent.futures.ProcessPoolExecutor,
-                                 mp_context=multiprocessing.get_context(method))
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        monkeypatch.setattr(experiments, "_run_block", _block_reporting_blas_threads)
-        res = run_sweep(_tiny_quant_cfg(), n_workers=2)
-        assert res.rows == [1, 1]
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_runs_without_openblas_handle(monkeypatch, workers):
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pool_rows_match_serial_under_every_start_method(monkeypatch, method):
+    # run_sweep imports the pool class from concurrent.futures when it starts a pool
     cfg = _tiny_quant_cfg()
-    expected = run_sweep(cfg).rows
-    monkeypatch.setattr(experiments, "_openblas", lambda: None)
-    res = run_sweep(cfg, n_workers=workers)
-    assert res.rows == expected
-    assert res.environment["blas_threads"] is None
+    serial = run_sweep(cfg).rows
+    pool = functools.partial(concurrent.futures.ProcessPoolExecutor,
+                             mp_context=multiprocessing.get_context(method))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    assert run_sweep(cfg, n_workers=2).rows == serial
 
 
 class TestAggregate:
