@@ -124,11 +124,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_dynamic_range(args) -> int:
-    # each path is one point of an oracle quantizer sweep (conventional: rho 1)
-    build_sweep_config({
-        "ambient_dim": args.ambient_dim, "band_width": args.band_width,
-        "rho_list": [args.rho if args.path == "cs" else 1], "methods": ["oracle"],
-        "quantizer": {"base_bits": args.bits, "saturation": args.saturation}})
+    # a path is an oracle sweep's point (conventional: rho 1); its quantizer is one at rho 1
+    geometry = dict(ambient_dim=args.ambient_dim, band_width=args.band_width, methods=["oracle"])
+    build_sweep_config({**geometry, "rho_list": [args.rho if args.path == "cs" else 1]})
+    build_sweep_config({**geometry, "rho_list": [1],
+                        "quantizer": {"base_bits": args.bits, "saturation": args.saturation}})
     spec = quantization.QuantizerSpec(bits=args.bits, saturation=args.saturation)
     spectrum = signal_model.generate_bandlimited(
         args.ambient_dim, args.band_width, "random", args.seed)

@@ -10,10 +10,9 @@ and their combination are configs of the same sweep.
 Determinism contract: given an identical config (including master_seed) the
 emitted rows are identical bit for bit, regardless of worker count or
 scheduling.  Every trial derives its own seed from
-(master_seed, point_index, trial_index) through a splitmix64 finalizer, work
-is split into fixed-size blocks that do not depend on the worker count, and
-the blocks' rows are joined in submission order, which both the serial loop
-and ``Executor.map`` keep.
+(master_seed, point_index, trial_index) through a splitmix64 finalizer, and
+the trials' rows come out in trial order, which both the builtin ``map`` and
+``Executor.map`` keep, so how the trials are chunked cannot change them.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ __all__ = [
 METHODS = ("oracle", "cosamp", "bandpass")
 ENSEMBLES = ("subsampled_dct", "gaussian", "rademacher")
 
-_TRIAL_BLOCK = 32  # fixed work-block size; independent of worker count
+_TRIAL_BLOCK = 32  # most trials per pool task; rows come out in trial order at any size
 _CONTAINMENT_CHUNK = 256  # trials per chunk of the containment campaign; sets its memory
 
 _MASK64 = (1 << 64) - 1
@@ -115,8 +114,8 @@ def _real(key: str, value) -> float:
 class QuantizerSweepSpec:
     """Quantizer policy of a sweep.
 
-    ``base_bits`` anchors the bit-depth trend at rho = 1; measurements are
-    scaled to the full quantizer range before quantization.
+    ``base_bits`` anchors the bit-depth trend at rho = 1 (``bits_at``);
+    measurements are scaled to the full quantizer range before quantization.
     """
 
     base_bits: int
@@ -125,10 +124,14 @@ class QuantizerSweepSpec:
     def __post_init__(self):
         object.__setattr__(self, "base_bits", _integer("base_bits", self.base_bits))
         object.__setattr__(self, "saturation", _real("saturation", self.saturation))
-        if self.base_bits < 1:
-            raise ValueError("base_bits must be >= 1")
+        if not 1 <= self.base_bits <= quantization.MAX_BITS:
+            raise ValueError(f"base_bits must lie in [1, {quantization.MAX_BITS}]")
         if self.saturation <= 0:
             raise ValueError("saturation must be positive")
+
+    def bits_at(self, rho: int) -> int:
+        """Bit depth at subsampling ``rho``: the trend from ``base_bits``, rounded half up."""
+        return math.floor(theory.bit_depth_trend(self.base_bits, rho) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -184,9 +187,14 @@ class SweepConfig:
             raise ValueError(f"ensemble must be one of {ENSEMBLES}")
         if self.measurement_noise_var < 0:
             raise ValueError("measurement_noise_var must be nonnegative")
-        if self.quantizer is not None and "bandpass" in self.methods:
-            raise ValueError("bandpass reads the unquantized samples; "
-                             "drop it from methods or remove the quantizer")
+        if self.quantizer is not None:
+            if "bandpass" in self.methods:
+                raise ValueError("bandpass reads the unquantized samples; "
+                                 "drop it from methods or remove the quantizer")
+            bits = self.quantizer.bits_at(max(self.rho_list))
+            if bits > quantization.MAX_BITS:
+                raise ValueError(f"base_bits={self.quantizer.base_bits} needs {bits} bits at rho="
+                                 f"{max(self.rho_list)}; the most is {quantization.MAX_BITS}")
 
 
 @dataclass
@@ -258,7 +266,7 @@ def _trial(cfg: SweepConfig, point_index: int, rho: int,
     B, W = cfg.ambient_dim, cfg.band_width
     bits = quantizer = None
     if cfg.quantizer is not None:
-        bits = math.floor(theory.bit_depth_trend(cfg.quantizer.base_bits, rho) + 0.5)
+        bits = cfg.quantizer.bits_at(rho)
         quantizer = quantization.QuantizerSpec(bits=bits, saturation=cfg.quantizer.saturation)
 
     spectrum = signal_model.generate_bandlimited(B, W, "random", c_signal)
@@ -271,8 +279,10 @@ def _trial(cfg: SweepConfig, point_index: int, rho: int,
     if any(m != "bandpass" for m in cfg.methods):
         ens = _fresh_ensemble(cfg, B // rho, c_ens)
         clean = ens.apply(spectrum.coeffs)  # R alpha; also R acquired without signal noise
-        y = sensing.measure(ens, acquired, cfg.measurement_noise_var, c_meas,
-                            clean if acquired is spectrum.coeffs else None)
+        y = clean if acquired is spectrum.coeffs else ens.apply(acquired)
+        if cfg.measurement_noise_var > 0:
+            noise = np.random.default_rng(c_meas).standard_normal(ens.rows)
+            y = y + np.sqrt(cfg.measurement_noise_var) * noise
         if quantizer is not None:
             # scale to the full quantizer range, quantize, undo the scaling
             beta = quantizer.saturation / float(np.max(np.abs(y)))
@@ -306,14 +316,6 @@ def _trial(cfg: SweepConfig, point_index: int, rho: int,
     return rows
 
 
-def _run_block(args) -> list[TrialRow]:
-    cfg, point_index, rho, isnr_target, trial_lo, trial_hi = args
-    rows = []
-    for trial in range(trial_lo, trial_hi):
-        rows.extend(_trial(cfg, point_index, rho, isnr_target, trial))
-    return rows
-
-
 def _affinity_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -322,41 +324,31 @@ def _affinity_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _resolve_workers(n_workers: int) -> int:
-    """Worker count for a sweep: 0 means one worker per CPU this process may
-    run on."""
-    n_workers = int(n_workers)
-    if n_workers == 0:
-        n_workers = _affinity_cpus()
-    return max(1, n_workers)
-
-
 def run_sweep(cfg: SweepConfig, n_workers: int = 1) -> ExperimentResult:
     """Sweep recovery SNR against subsampling.
 
     The points are rho x ISNR target, or rho alone when there are no targets;
-    every trial runs the acquisition chain of ``_trial``.  With a quantizer
-    the bit depth per point follows the rate/resolution trend anchored at
-    ``base_bits`` for rho = 1, rounded half up; since rho >= 1 it never falls
-    below ``base_bits``.  A bandpass alias collision or a rank-deficient
-    oracle solve marks the trial failed rather than aborting the sweep.
+    every trial runs the acquisition chain of ``_trial``, on ``n_workers``
+    processes (0: one per CPU this process may run on; never more than there
+    are trials; 1: in this process).  A bandpass alias collision or a
+    rank-deficient oracle solve marks the trial failed rather than aborting
+    the sweep.
     """
     points = [(rho, isnr) for rho in cfg.rho_list for isnr in cfg.isnr_targets_db or (None,)]
-    blocks = []
-    for point_index, (rho, isnr_target) in enumerate(points):
-        for lo in range(0, cfg.trials_per_point, _TRIAL_BLOCK):
-            hi = min(lo + _TRIAL_BLOCK, cfg.trials_per_point)
-            blocks.append((cfg, point_index, rho, isnr_target, lo, hi))
-    workers = _resolve_workers(n_workers)
+    trials = [(cfg, point_index, rho, isnr_target, trial)
+              for point_index, (rho, isnr_target) in enumerate(points)
+              for trial in range(cfg.trials_per_point)]
+    workers = max(1, min(int(n_workers) or _affinity_cpus(), len(trials)))
     if workers == 1:
-        block_rows = [_run_block(b) for b in blocks]
+        trial_rows = map(_trial, *zip(*trials))
     else:
         # imported here, so that only a pooled sweep loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-
+        # about four chunks per worker, so that the slow low-rho trials spread over all
+        chunk = min(_TRIAL_BLOCK, -(-len(trials) // (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            block_rows = list(pool.map(_run_block, blocks))
-    rows = [row for block in block_rows for row in block]
+            trial_rows = list(pool.map(_trial, *zip(*trials), chunksize=chunk))
+    rows = [row for one_trial in trial_rows for row in one_trial]
     environment = {
         "workers": workers,
         # the BLAS sizes its own thread pool; these settings (None when unset) steer it

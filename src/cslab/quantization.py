@@ -24,6 +24,8 @@ __all__ = [
     "dynamic_range_empirical",
 ]
 
+MAX_BITS = 53  # float64 significand; finer levels in the range's top octave are not floats
+
 
 @dataclass(frozen=True)
 class QuantizerSpec:
@@ -33,8 +35,8 @@ class QuantizerSpec:
     saturation: float = 1.0
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ValueError(f"bits must lie in [1, {MAX_BITS}]; got {self.bits}")
         if self.saturation <= 0:
             raise ValueError("saturation must be positive")
 

@@ -40,7 +40,6 @@ __all__ = [
     "generate_ensemble",
     "generate_subsampled_dct_ensemble",
     "orthogonalize_rows",
-    "measure",
     "estimate_rip_constant",
 ]
 
@@ -295,24 +294,6 @@ def orthogonalize_rows(ensemble: MeasurementEnsemble) -> MeasurementEnsemble:
     if s[-1] <= RANK_TOL * s[0]:
         raise ValueError("ensemble is rank deficient; cannot orthogonalize rows")
     return MeasurementEnsemble(matrix=np.sqrt(ensemble.subsampling) * vt)
-
-
-def measure(
-    ensemble: MeasurementEnsemble,
-    coeff_vector: np.ndarray,
-    measurement_noise_var: float = 0.0,
-    rng_seed=0,
-    product: np.ndarray | None = None,
-) -> np.ndarray:
-    """y = R @ coeff_vector + e with e i.i.d. Gaussian of the given variance;
-    ``product`` is R @ coeff_vector when the caller has it already."""
-    if measurement_noise_var < 0:
-        raise ValueError("measurement_noise_var must be nonnegative")
-    y = ensemble.apply(coeff_vector) if product is None else product
-    if measurement_noise_var > 0:
-        rng = np.random.default_rng(rng_seed)
-        y = y + np.sqrt(measurement_noise_var) * rng.standard_normal(ensemble.rows)
-    return y
 
 
 def _support_deviation(ensemble: MeasurementEnsemble, support) -> float:

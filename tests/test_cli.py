@@ -294,11 +294,12 @@ class TestCliMain:
         ("isnr_targets_db", [40, float("inf")], "every isnr_targets_db value must be finite"),
         ("quantizer", {"base_bits": 4, "saturation": float("nan")},
          "invalid quantizer: saturation must be finite"),
+        ("quantizer", {"base_bits": 1100}, "invalid quantizer: base_bits must lie in [1, 53]"),
     ], ids=["repeated_rho", "repeated_isnr", "float_rho", "zero_rho", "float_band_width",
             "float_trials", "float_seed", "bool_band_width", "bool_trials", "float_base_bits",
             "bool_isnr", "string_isnr", "bool_noise_var", "string_noise_var",
             "bool_saturation", "string_saturation", "nan_noise_var", "inf_isnr",
-            "nan_saturation"])
+            "nan_saturation", "huge_base_bits"])
     def test_bad_sweep_value_exit_code(self, key, value, message, tmp_path, capsys):
         cfg = {"ambient_dim": 64, "band_width": 2, "rho_list": [2, 4],
                "isnr_targets_db": [20, 40], key: value}
@@ -383,7 +384,8 @@ class TestCliMain:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
-    def test_seed_repeatability_and_env_workers(self, tmp_path, capsys, monkeypatch):
+    def test_seed_repeatability_and_env_workers(self, tmp_path, capsys, monkeypatch,
+                                                started_workers):
         cfg = {"ambient_dim": 128, "band_width": 2, "rho_list": [2, 4],
                "isnr_targets_db": [40.0], "trials_per_point": 10,
                "methods": ["oracle"]}
@@ -408,6 +410,7 @@ class TestCliMain:
                 "python": platform.python_version(),
                 "numpy": np.__version__,
             }
+        assert len(started_workers()) == 2  # the serial run starts none
         assert outputs[0] == outputs[1]
 
     def test_trials_override(self, tmp_path, capsys):
@@ -470,6 +473,23 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and key in err
 
+    @pytest.mark.parametrize("path", ["conventional", "cs"])
+    @pytest.mark.parametrize("bits", [54, 1100])
+    def test_dynamic_range_bits_beyond_float_exit_code(self, path, bits, capsys, no_compute):
+        code = main(["dynamic-range", "--bits", str(bits), "--target-snr", "100",
+                     "--path", path])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "base_bits" in err
+
+    def test_dynamic_range_cs_path_takes_bits_as_given(self, tmp_path, capsys):
+        # a sweep anchored at 52 base bits would need 56 at rho 8; --bits is the depth itself
+        report = tmp_path / "dr.json"
+        code = main(["dynamic-range", "--bits", "52", "--target-snr", "100", "--path", "cs",
+                     "--ambient-dim", "64", "--rho", "8", "--out", str(report)])
+        assert code == 0
+        assert json.loads(report.read_text())["bits"] == 52
+
     @pytest.mark.parametrize("flags, build", [
         (["--distribution", "subsampled_dct"],
          lambda: sensing.generate_subsampled_dct_ensemble(12, 32, 11)),
@@ -503,6 +523,18 @@ class TestCliMain:
         rows = read_rows_csv(out_dir / "rows.csv")
         bits = {r.rho: r.bits for r in rows}
         assert bits == {1: 4, 2: 5}  # anchor, then one octave along the trend
+
+    def test_quantizer_sweep_past_the_bit_bound_exit_code(self, tmp_path, capsys):
+        # 51 base bits is in bounds, but the trend asks for 54 at rho 4
+        cfg = {"ambient_dim": 64, "band_width": 2, "rho_list": [1, 2, 4], "trials_per_point": 2,
+               "methods": ["oracle"], "quantizer": {"base_bits": 51}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["quantizer-sweep", "--config", str(path), "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: base_bits=51 needs 54 bits at rho=4; the most is 53\n"
+        assert not out_dir.exists()
 
     def test_sweep_prints_bits_and_the_written_summary(self, tmp_path, capsys, monkeypatch):
         cfg = {"ambient_dim": 128, "band_width": 2, "rho_list": [1, 2], "trials_per_point": 2,

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from cslab import experiments, recovery, sensing, theory
+from cslab import experiments, metrics, recovery, sensing, signal_model, theory
 from cslab.experiments import (
     METHODS,
     ConfigDivisibilityError,
@@ -46,22 +46,84 @@ class TestTrialSeeds:
             derive_trial_seed(0, 0, 2**32)
 
 
+class _RecordingPool:
+    """Stand-in for ``ProcessPoolExecutor`` that notes the worker count it is
+    asked for and runs the trials in this process, starting none."""
+
+    asked: list = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        assert 1 <= chunksize <= experiments._TRIAL_BLOCK
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def asked_workers(monkeypatch):
+    """Worker counts that ``run_sweep`` asks a pool for, in order."""
+    monkeypatch.setattr(_RecordingPool, "asked", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool.asked
+
+
+def _oracle_cfg(points: int, trials_per_point: int) -> SweepConfig:
+    return SweepConfig(ambient_dim=512, band_width=2, rho_list=tuple(2**k for k in range(points)),
+                       trials_per_point=trials_per_point, methods=("oracle",), master_seed=6)
+
+
 class TestResolveWorkers:
-    def test_zero_counts_cpus_in_affinity_mask(self, monkeypatch):
+    def test_zero_counts_cpus_in_affinity_mask(self, monkeypatch, asked_workers):
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
-        assert experiments._resolve_workers(0) == 3
-        assert experiments._resolve_workers(2) == 2
+        cfg = _oracle_cfg(2, 4)
+        assert run_sweep(cfg, n_workers=0).environment["workers"] == 3
+        assert run_sweep(cfg, n_workers=2).environment["workers"] == 2
+        assert asked_workers == [3, 2]
 
-    def test_zero_without_affinity_api_counts_all_cpus(self, monkeypatch):
+    def test_zero_without_affinity_api_counts_all_cpus(self, monkeypatch, asked_workers):
         monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 6)
-        assert experiments._resolve_workers(0) == 6
+        cfg = _oracle_cfg(2, 4)
+        assert run_sweep(cfg, n_workers=0).environment["workers"] == 6
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-        assert experiments._resolve_workers(0) == 1
+        assert run_sweep(cfg, n_workers=0).environment["workers"] == 1
+        assert asked_workers == [6]  # one worker runs serially, without a pool
+
+    def test_never_more_workers_than_trials(self, asked_workers):
+        cfg = _oracle_cfg(9, 1)
+        pooled = run_sweep(cfg, n_workers=64)
+        assert asked_workers == [9]
+        assert pooled.environment["workers"] == 9
+        assert pooled.rows == run_sweep(cfg).rows
+
+    def test_two_workers_share_one_trial_per_point(self, started_workers):
+        # the bench's pool check: 9 points at 1 trial each, fewer trials than `_TRIAL_BLOCK`
+        cfg = _oracle_cfg(9, 1)
+        pooled = run_sweep(cfg, n_workers=2)
+        assert pooled.environment["workers"] == 2
+        assert len(started_workers()) == 2
+        assert pooled.rows == run_sweep(cfg).rows
 
 
 class TestSweepConfig:
+    def test_quantizer_bit_depth_bounded_at_the_largest_rho(self):
+        base = dict(ambient_dim=64, band_width=2, methods=("oracle",))
+        with pytest.raises(ValueError, match="base_bits must lie in"):
+            QuantizerSweepSpec(base_bits=54)
+        spec = QuantizerSweepSpec(base_bits=51)
+        assert [spec.bits_at(rho) for rho in (1, 2, 4)] == [51, 52, 54]
+        assert SweepConfig(rho_list=(1, 2), quantizer=spec, **base).quantizer == spec
+        with pytest.raises(ValueError, match="base_bits=51 needs 54 bits at rho=4"):
+            SweepConfig(rho_list=(1, 2, 4), quantizer=spec, **base)
+
     def test_non_divisor_rho_rejected(self):
         with pytest.raises(ConfigDivisibilityError) as info:
             SweepConfig(ambient_dim=8192, rho_list=(3,))
@@ -238,6 +300,17 @@ class TestQuantizationSweep:
 
         assert mean_msnr(0.01) < mean_msnr(0.0) - 3.0
 
+    def test_measurement_noise_comes_from_the_trials_measurement_seed(self):
+        cfg = SweepConfig(ambient_dim=256, band_width=2, rho_list=(4,), trials_per_point=3,
+                          methods=("oracle",), master_seed=3, measurement_noise_var=1e-3)
+        for row in run_sweep(cfg).rows:
+            c_signal, _, c_ens, c_meas = np.random.SeedSequence(row.seed).spawn(4)
+            spectrum = signal_model.generate_bandlimited(256, 2, "random", c_signal)
+            clean = sensing.generate_subsampled_dct_ensemble(64, 256, c_ens).apply(spectrum.coeffs)
+            noise = np.random.default_rng(c_meas).standard_normal(64)
+            y = clean + np.sqrt(1e-3) * noise
+            assert row.msnr_db == float(metrics.to_db(metrics.msnr(clean, y)))
+
     def test_signal_noise_and_quantizer_apply_together(self):
         base = dict(ambient_dim=256, band_width=2, rho_list=(1, 4), trials_per_point=3,
                     methods=("oracle", "cosamp"), master_seed=6)
@@ -325,14 +398,16 @@ def _tiny_quant_cfg():
 
 
 @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
-def test_pool_rows_match_serial_under_every_start_method(monkeypatch, method):
-    # run_sweep imports the pool class from concurrent.futures when it starts a pool
+def test_pool_rows_match_serial_under_every_start_method(monkeypatch, started_workers, method):
     cfg = _tiny_quant_cfg()
     serial = run_sweep(cfg).rows
     pool = functools.partial(concurrent.futures.ProcessPoolExecutor,
                              mp_context=multiprocessing.get_context(method))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    assert run_sweep(cfg, n_workers=2).rows == serial
+    pooled = run_sweep(cfg, n_workers=2)
+    assert pooled.rows == serial
+    assert pooled.environment["workers"] == 2
+    assert len(started_workers()) == 2
 
 
 class TestAggregate:

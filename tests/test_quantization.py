@@ -29,6 +29,16 @@ class TestQuantizerSpec:
         with pytest.raises(ValueError):
             QuantizerSpec(bits=4, saturation=0.0)
 
+    def test_bits_bounded_by_the_float_significand(self):
+        with pytest.raises(ValueError, match="bits must lie in"):
+            QuantizerSpec(bits=54)
+        q = QuantizerSpec(bits=53)
+        v = np.array([-0.99, -0.3, 0.1, 0.7])
+        out = quantize(q, v)
+        # the levels Delta (k + 1/2), odd multiples of Delta/2, are still floats
+        nptest.assert_array_equal(np.mod(out / (q.interval / 2), 2), 1.0)
+        assert np.all(np.abs(out - v) <= q.interval / 2)
+
 
 class TestQuantize:
     def test_two_bit_examples(self):

@@ -13,7 +13,6 @@ from cslab.sensing import (
     estimate_rip_constant,
     generate_ensemble,
     generate_subsampled_dct_ensemble,
-    measure,
     orthogonalize_rows,
 )
 
@@ -356,10 +355,6 @@ class TestOrthogonalizeRows:
 
 
 class TestMeasure:
-    def test_zero_input_zero_noise(self):
-        ens = generate_ensemble(4, 8, "gaussian", 0)
-        nptest.assert_array_equal(measure(ens, np.zeros(8)), np.zeros(4))
-
     def test_matches_triple_loop_product(self):
         ens = generate_ensemble(5, 9, "gaussian", 21)
         v = np.random.default_rng(2).standard_normal(9)
@@ -367,17 +362,12 @@ class TestMeasure:
         for i in range(5):
             for j in range(9):
                 expected[i] += ens.matrix[i, j] * v[j]
-        nptest.assert_allclose(measure(ens, v), expected, atol=1e-12)
-
-    def test_noise_deterministic(self):
-        ens = generate_ensemble(4, 8, "gaussian", 0)
-        v = np.ones(8)
-        nptest.assert_array_equal(measure(ens, v, 0.5, 3), measure(ens, v, 0.5, 3))
+        nptest.assert_allclose(ens.apply(v), expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         ens = generate_ensemble(4, 8, "gaussian", 0)
         with pytest.raises(ValueError):
-            measure(ens, np.zeros(7))
+            ens.apply(np.zeros(7))
 
     def test_folded_noise_is_white(self):
         # covariance of R n over 10^4 draws: diag rho*var, off-diag small
