@@ -87,8 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", type=int, required=True)
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="sampled")
     p.add_argument("--n-supports", type=int, default=200)
-    p.add_argument("--distribution", choices=["gaussian", "rademacher", "subsampled_dct"],
-                   default="gaussian")
+    p.add_argument("--distribution", choices=sensing.DISTRIBUTIONS, default="gaussian")
     p.add_argument("--orthogonalize", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional JSON output path")
@@ -166,13 +165,9 @@ def _cmd_dynamic_range(args) -> int:
 
 
 def _cmd_rip_estimate(args) -> int:
-    if args.distribution == "subsampled_dct":
-        ens = sensing.generate_subsampled_dct_ensemble(
-            args.measurements, args.ambient_dim, args.seed)
-    else:
-        ens = sensing.generate_ensemble(
-            args.measurements, args.ambient_dim, args.distribution, args.seed)
-    if args.orthogonalize and args.distribution != "subsampled_dct":
+    ens = sensing.generate_ensemble(
+        args.measurements, args.ambient_dim, args.distribution, args.seed)
+    if args.orthogonalize:
         ens = sensing.orthogonalize_rows(ens)
     delta = sensing.estimate_rip_constant(
         ens, args.sparsity, mode=args.mode, n_supports=args.n_supports, rng_seed=args.seed)

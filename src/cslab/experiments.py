@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 METHODS = ("oracle", "cosamp", "bandpass")
-ENSEMBLES = ("subsampled_dct", "gaussian", "rademacher")
 
 _TRIAL_BLOCK = 32  # most trials per pool task; rows come out in trial order at any size
 _CONTAINMENT_CHUNK = 256  # trials per chunk of the containment campaign; sets its memory
@@ -183,8 +182,8 @@ class SweepConfig:
         if "oracle" in self.methods and n_fewest < self.band_width:
             raise ValueError(f"oracle recovery needs M = ambient_dim // rho >= band_width; "
                              f"rho={max(self.rho_list)} gives M={n_fewest} < {self.band_width}")
-        if self.ensemble not in ENSEMBLES:
-            raise ValueError(f"ensemble must be one of {ENSEMBLES}")
+        if self.ensemble not in sensing.DISTRIBUTIONS:
+            raise ValueError(f"ensemble must be one of {sensing.DISTRIBUTIONS}")
         if self.measurement_noise_var < 0:
             raise ValueError("measurement_noise_var must be nonnegative")
         if self.quantizer is not None:
@@ -245,13 +244,6 @@ class PointSummary:
     bits: int | None
 
 
-def _fresh_ensemble(cfg: SweepConfig, n_measurements: int, seed) -> sensing.MeasurementEnsemble:
-    if cfg.ensemble == "subsampled_dct":
-        return sensing.generate_subsampled_dct_ensemble(n_measurements, cfg.ambient_dim, seed)
-    raw = sensing.generate_ensemble(n_measurements, cfg.ambient_dim, cfg.ensemble, seed)
-    return sensing.orthogonalize_rows(raw)
-
-
 def _db_or_none(value: float | None) -> float | None:
     return None if value is None else float(metrics.to_db(value))
 
@@ -277,7 +269,7 @@ def _trial(cfg: SweepConfig, point_index: int, rho: int,
         isnr_db = _db_or_none(metrics.isnr(spectrum, acquired))
 
     if any(m != "bandpass" for m in cfg.methods):
-        ens = _fresh_ensemble(cfg, B // rho, c_ens)
+        ens = sensing.orthogonalize_rows(sensing.generate_ensemble(B // rho, B, cfg.ensemble, c_ens))
         clean = ens.apply(spectrum.coeffs)  # R alpha; also R acquired without signal noise
         y = clean if acquired is spectrum.coeffs else ens.apply(acquired)
         if cfg.measurement_noise_var > 0:

@@ -8,6 +8,8 @@ upward to Delta * (k + 1/2) (floor-based rule).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +37,12 @@ class QuantizerSpec:
     saturation: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.bits, bool) or not isinstance(self.bits, numbers.Integral):
+            raise TypeError(f"bits must be an integer; got {self.bits!r}")
         if not 1 <= self.bits <= MAX_BITS:
             raise ValueError(f"bits must lie in [1, {MAX_BITS}]; got {self.bits}")
-        if self.saturation <= 0:
-            raise ValueError("saturation must be positive")
+        if not 0 < self.saturation < math.inf:
+            raise ValueError(f"saturation must be positive and finite; got {self.saturation!r}")
 
     @property
     def interval(self) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
@@ -161,9 +162,9 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def write_results(result: ExperimentResult, out_dir, config_dict: dict | None = None,
                   summaries: list | None = None) -> dict:
-    """Persist a sweep: rows.csv, a JSON summary of per-point means, a
-    plot-data CSV of (log2 rho, mean rsnr dB) series per method, and a run
-    manifest.  Returns the written paths.
+    """Persist a sweep: rows.csv, a strict-JSON summary of per-point means
+    (a non-finite mean is null), a plot-data CSV of (log2 rho, mean rsnr dB)
+    series per method, and a run manifest.  Returns the written paths.
 
     Rows, summary, and plot data are byte-deterministic for an identical
     result; the manifest carries a wall-clock timestamp and the
@@ -183,8 +184,11 @@ def write_results(result: ExperimentResult, out_dir, config_dict: dict | None = 
 
     points = aggregate(read_rows_csv(paths["rows"]))
     paths["summary"] = out / "summary.json"
+    # strict JSON has no Infinity: an unperturbed point's infinite mean is null
+    json_points = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                    for k, v in asdict(s).items()} for s in points]
     _write_atomic(paths["summary"], json.dumps(
-        {"points": [asdict(s) for s in points]}, indent=1) + "\n")
+        {"points": json_points}, indent=1, allow_nan=False) + "\n")
     if summaries is not None:
         summaries.extend(points)
 

@@ -22,9 +22,10 @@ which recovery needs only for gelsd).  The dense families' ``apply`` and
 ``apply_transpose`` also take a block of columns; ``subsampled_dct`` takes
 one vector and raises ``ValueError`` on a block.
 
-``orthogonalize_rows`` turns any full-row-rank ensemble into one with
-``R @ R.T == rho * I`` on the same row space (reduced SVD, keep the right
-factor, rescale rows to norm sqrt(rho)).
+``generate_ensemble`` draws any of ``DISTRIBUTIONS``.  ``orthogonalize_rows``
+turns any full-row-rank dense ensemble into one with ``R @ R.T == rho * I`` on
+the same row space (reduced SVD, keep the right factor, rescale rows to norm
+sqrt(rho)) and returns a ``subsampled_dct`` one as it is.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from itertools import combinations
 import numpy as np
 
 __all__ = [
+    "DISTRIBUTIONS",
     "MeasurementEnsemble",
     "generate_ensemble",
     "generate_subsampled_dct_ensemble",
@@ -47,6 +49,8 @@ __all__ = [
 RANK_TOL = 1e-10
 
 EXHAUSTIVE_SUPPORT_LIMIT = 10**6
+
+DISTRIBUTIONS = ("subsampled_dct", "gaussian", "rademacher")
 
 
 @lru_cache(maxsize=8)
@@ -88,11 +92,8 @@ class MeasurementEnsemble:
     (length B) and ``selected_rows`` (the M kept DCT rows, strictly
     increasing) and applies in O(B log B).  ``rows`` and ``cols`` are read off
     those arrays.  For an implicit ensemble ``.matrix`` is built fresh on every
-    read and never stored; the operator's plan (the kept rows' bins and
-    coefficients, gathered from ``_dct_tables`` with sqrt(rho) folded in) is
-    built on the first ``apply`` or ``apply_transpose``, and the read-only
-    kernel behind ``gram`` on the first ``gram`` call.  Neither changes how the
-    operator applies.
+    read and never stored; the operator's plan and the read-only kernel behind
+    ``gram`` are built with the ensemble.
     """
 
     def __init__(
@@ -117,8 +118,22 @@ class MeasurementEnsemble:
         self._matrix = matrix
         self._signs = signs
         self._selected = selected_rows
-        self._plan = None  # subsampled_dct only: see _fft_plan()
-        self._kernel = None  # subsampled_dct only: K(m) for m = 0..2B-1, see gram()
+        if matrix is None:
+            # the FFT plan: the kept rows' ``_dct_tables`` entries scaled by sqrt(rho),
+            # the count of rows q <= B/2 (a prefix of sorted rows), the reordered signs
+            bins, forward, adjoint = _dct_tables(cols)
+            scale = math.sqrt(self.subsampling)
+            self._plan = (bins[selected_rows], scale * forward[selected_rows],
+                          scale * adjoint[selected_rows],
+                          int(np.searchsorted(selected_rows, cols // 2, side="right")),
+                          signs[::2].copy(), signs[1::2][::-1].copy())
+            # gram's kernel K(m), m = 0..2B-1: the real part of the length-2B DFT of
+            # the kept-row indicator; rfft gives m = 0..B and K(m) = K(2B - m) the rest
+            indicator = np.zeros(2 * cols)
+            indicator[selected_rows] = 1.0
+            half = np.fft.rfft(indicator).real
+            self._kernel = np.concatenate([half, half[-2:0:-1]])
+            self._kernel.flags.writeable = False
 
     @property
     def subsampling(self) -> float:
@@ -132,19 +147,6 @@ class MeasurementEnsemble:
             return self._matrix
         return self.columns(np.arange(self.cols))
 
-    def _fft_plan(self) -> tuple:
-        """(bins, forward, adjoint, n_low, even signs, odd signs reversed) of the
-        kept rows: their ``_dct_tables`` entries scaled by sqrt(rho), the number
-        of rows q <= B/2 (a prefix, as rows are sorted), and the signs in the
-        reordered layout."""
-        if self._plan is None:
-            bins, forward, adjoint = _dct_tables(self.cols)
-            sel, scale = self._selected, math.sqrt(self.subsampling)
-            self._plan = (bins[sel], scale * forward[sel], scale * adjoint[sel],
-                          int(np.searchsorted(sel, self.cols // 2, side="right")),
-                          self._signs[::2].copy(), self._signs[1::2][::-1].copy())
-        return self._plan
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """R @ v: v is a length-B vector, or for the dense families also a
         B x n block of columns."""
@@ -156,7 +158,7 @@ class MeasurementEnsemble:
         if v.ndim != 1:
             raise ValueError("the subsampled-DCT operator applies to one vector at a time; "
                              f"got shape {v.shape}")
-        bins, forward, _, _, even_signs, odd_signs = self._fft_plan()
+        bins, forward, _, _, even_signs, odd_signs = self._plan
         n_even = even_signs.size
         reordered = np.empty(self.cols)
         np.multiply(v[::2], even_signs, out=reordered[:n_even])
@@ -174,7 +176,7 @@ class MeasurementEnsemble:
         if r.ndim != 1:
             raise ValueError("the subsampled-DCT operator applies to one vector at a time; "
                              f"got shape {r.shape}")
-        bins, _, adjoint, n_low, even_signs, odd_signs = self._fft_plan()
+        bins, _, adjoint, n_low, even_signs, odd_signs = self._plan
         B, n_even = self.cols, even_signs.size
         spectrum = np.zeros(B // 2 + 1, dtype=complex)
         spectrum[bins[:n_low]] = adjoint[:n_low] * r[:n_low]
@@ -220,15 +222,6 @@ class MeasurementEnsemble:
         if self._matrix is not None:
             cols = self.columns(idx)
             return cols.T @ cols
-        if self._kernel is None:
-            # K(m) is the real part of the length-2B DFT of the kept-row
-            # indicator; rfft gives m = 0..B and K(m) = K(2B - m) the rest
-            B = self.cols
-            indicator = np.zeros(2 * B)
-            indicator[self._selected] = 1.0
-            half = np.fft.rfft(indicator).real
-            self._kernel = np.concatenate([half, half[-2:0:-1]])
-            self._kernel.flags.writeable = False
         kernel = self._kernel
         gram = kernel[np.add.outer(idx, idx + 1)]
         gram += kernel[np.abs(np.subtract.outer(idx, idx))]
@@ -245,11 +238,15 @@ def generate_ensemble(
     distribution: str = "gaussian",
     rng_seed=0,
 ) -> MeasurementEnsemble:
-    """Draw an M x B ensemble with i.i.d. entries of variance 1/M.
+    """Draw an M x B ensemble of one of ``DISTRIBUTIONS``.
 
-    ``distribution`` is ``"gaussian"`` or ``"rademacher"`` (entries
-    +-1/sqrt(M) equiprobable).  Deterministic given the seed.
+    ``"gaussian"`` and ``"rademacher"`` (entries +-1/sqrt(M) equiprobable)
+    have i.i.d. entries of variance 1/M; ``"subsampled_dct"`` is
+    ``generate_subsampled_dct_ensemble`` with the same seed.  Deterministic
+    given the seed.
     """
+    if distribution == "subsampled_dct":
+        return generate_subsampled_dct_ensemble(n_measurements, ambient_dim, rng_seed)
     M, B = int(n_measurements), int(ambient_dim)
     if M > B:
         raise ValueError("n_measurements cannot exceed ambient_dim")
@@ -287,8 +284,11 @@ def orthogonalize_rows(ensemble: MeasurementEnsemble) -> MeasurementEnsemble:
     """Replace an ensemble by one with orthogonal rows of norm sqrt(rho).
 
     Computes the reduced SVD R = U S V^T and returns sqrt(rho) * V^T, which
-    has the same row space as R.  Raises on rank-deficient input.
+    has the same row space as R.  Raises on rank-deficient input.  A
+    ``subsampled_dct`` ensemble already has such rows and is returned as it is.
     """
+    if ensemble._matrix is None:
+        return ensemble
     R = ensemble.matrix
     _, s, vt = np.linalg.svd(R, full_matrices=False)
     if s[-1] <= RANK_TOL * s[0]:

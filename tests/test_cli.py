@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import platform
 from pathlib import Path
 
@@ -495,7 +496,9 @@ class TestCliMain:
          lambda: sensing.generate_subsampled_dct_ensemble(12, 32, 11)),
         (["--orthogonalize"],
          lambda: sensing.orthogonalize_rows(sensing.generate_ensemble(12, 32, "gaussian", 11))),
-    ], ids=["subsampled_dct", "orthogonalized_gaussian"])
+        (["--distribution", "subsampled_dct", "--orthogonalize"],
+         lambda: sensing.generate_subsampled_dct_ensemble(12, 32, 11)),
+    ], ids=["subsampled_dct", "orthogonalized_gaussian", "orthogonalized_subsampled_dct"])
     def test_rip_estimate_ensembles(self, flags, build, tmp_path, capsys):
         report = tmp_path / "rip.json"
         code = main(["rip-estimate", "--ambient-dim", "32", "--measurements", "12",
@@ -511,6 +514,22 @@ class TestCliMain:
                      "--sparsity", "2", "--n-supports", "0"])
         assert code == 1
         assert capsys.readouterr().err == "error: n_supports must be >= 1\n"
+
+    def test_noise_free_summary_is_strict_json(self, tmp_path):
+        # nothing perturbs the measurements, so every MSNR is infinite
+        cfg = {"ambient_dim": 64, "band_width": 2, "rho_list": [2, 4], "trials_per_point": 2,
+               "methods": ["oracle"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["noise-folding", "--config", str(path), "--out", str(out_dir)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        points = json.loads((out_dir / "summary.json").read_text(), parse_constant=refuse)
+        assert [p["mean_msnr_db"] for p in points["points"]] == [None, None]
+        assert {r.msnr_db for r in read_rows_csv(out_dir / "rows.csv")} == {math.inf}
 
     def test_quantizer_sweep_smoke(self, tmp_path, capsys):
         cfg = {"ambient_dim": 128, "band_width": 2, "rho_list": [1, 2], "isnr_targets_db": [],

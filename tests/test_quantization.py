@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
@@ -28,6 +30,17 @@ class TestQuantizerSpec:
             QuantizerSpec(bits=0)
         with pytest.raises(ValueError):
             QuantizerSpec(bits=4, saturation=0.0)
+
+    @pytest.mark.parametrize("saturation", [math.nan, math.inf])
+    def test_saturation_must_be_finite(self, saturation):
+        with pytest.raises(ValueError, match="saturation"):
+            QuantizerSpec(bits=4, saturation=saturation)
+
+    @pytest.mark.parametrize("bits", [True, 4.5, 4.0, "4"])
+    def test_bits_must_be_an_integer(self, bits):
+        with pytest.raises(TypeError, match="bits"):
+            QuantizerSpec(bits=bits)
+        assert QuantizerSpec(bits=np.int64(4)).interval == 2.0**-3
 
     def test_bits_bounded_by_the_float_significand(self):
         with pytest.raises(ValueError, match="bits must lie in"):

@@ -49,6 +49,15 @@ class TestGenerateEnsemble:
         b = generate_ensemble(8, 32, "gaussian", 9)
         nptest.assert_array_equal(a.matrix, b.matrix)
 
+    @pytest.mark.parametrize("seed", [5, np.random.SeedSequence(5)], ids=["int", "seed_sequence"])
+    def test_subsampled_dct_is_the_dedicated_draw(self, seed):
+        ens = generate_ensemble(16, 64, "subsampled_dct", seed)
+        ref = generate_subsampled_dct_ensemble(16, 64, seed)
+        nptest.assert_array_equal(ens._signs, ref._signs)
+        nptest.assert_array_equal(ens._selected, ref._selected)
+        v = np.random.default_rng(6).standard_normal(64)
+        assert ens.apply(v).tobytes() == ref.apply(v).tobytes()
+
 
 class TestSubsampledDct:
     def test_rows_orthogonal_norm_sqrt_rho(self):
@@ -245,15 +254,15 @@ class TestGram:
 
     def test_kernel_read_only_and_operator_unchanged(self):
         ens = generate_subsampled_dct_ensemble(64, 256, 11)
+        kernel = ens._kernel  # built with the draw, before any gram call
+        assert kernel.shape == (512,)
+        with pytest.raises(ValueError):
+            kernel[0] = 0.0
         v = np.random.default_rng(12).standard_normal(256)
         r = np.random.default_rng(13).standard_normal(64)
         idx = [0, 7, 255]
         before = ens.apply(v), ens.apply_transpose(r), ens.columns(idx)
         ens.gram(idx)
-        kernel = ens._kernel
-        assert kernel.shape == (512,)
-        with pytest.raises(ValueError):
-            kernel[0] = 0.0
         ens.gram([3, 4])
         assert ens._kernel is kernel
         for old, new in zip(before, (ens.apply(v), ens.apply_transpose(r), ens.columns(idx))):
@@ -352,6 +361,11 @@ class TestOrthogonalizeRows:
         mat = np.ones((3, 8))
         with pytest.raises(ValueError):
             orthogonalize_rows(MeasurementEnsemble(matrix=mat))
+
+    def test_subsampled_dct_returned_as_is(self):
+        # its rows already satisfy R R^T = rho I
+        ens = generate_subsampled_dct_ensemble(8, 32, 17)
+        assert orthogonalize_rows(ens) is ens
 
 
 class TestMeasure:
