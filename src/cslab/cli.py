@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dynamic-range", help="closed-form and empirical dynamic range")
     p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--saturation", type=float, default=1.0)
     p.add_argument("--target-snr", type=float, required=True, help="linear SNR floor C")
     p.add_argument("--ambient-dim", type=int, default=256)
     p.add_argument("--band-width", type=int, default=4)
@@ -126,14 +125,13 @@ def _cmd_dynamic_range(args) -> int:
     # a path is an oracle sweep's point (conventional: rho 1); its quantizer is one at rho 1
     geometry = dict(ambient_dim=args.ambient_dim, band_width=args.band_width, methods=["oracle"])
     build_sweep_config({**geometry, "rho_list": [args.rho if args.path == "cs" else 1]})
-    build_sweep_config({**geometry, "rho_list": [1],
-                        "quantizer": {"base_bits": args.bits, "saturation": args.saturation}})
-    spec = quantization.QuantizerSpec(bits=args.bits, saturation=args.saturation)
+    build_sweep_config({**geometry, "rho_list": [1], "quantizer": {"base_bits": args.bits}})
+    spec = quantization.QuantizerSpec(bits=args.bits)
     spectrum = signal_model.generate_bandlimited(
         args.ambient_dim, args.band_width, "random", args.seed)
     x = signal_model.synthesize_vector(spectrum.coeffs)
-    report = {"bits": args.bits, "saturation": args.saturation, "target_snr": args.target_snr,
-              "par": signal_model.par(x), "path": args.path}
+    report = {"bits": args.bits, "target_snr": args.target_snr, "par": signal_model.par(x),
+              "path": args.path}
 
     closed = quantization.dynamic_range_closed_form(spec, x, args.target_snr)
     report["closed_form"] = asdict(closed)
@@ -153,7 +151,7 @@ def _cmd_dynamic_range(args) -> int:
 
         emp = quantization.dynamic_range_empirical(
             spec, x, args.target_snr, snr_fn=recovery_snr,
-            anchor=spec.saturation / float(np.max(np.abs(y))))
+            anchor=1.0 / float(np.max(np.abs(y))))
     report["empirical"] = asdict(emp)
     print(f"closed-form dynamic range: {closed.dr_db:.2f} dB "
           f"(beta in [{closed.beta_min:.4g}, {closed.beta_max:.4g}])")

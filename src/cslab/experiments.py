@@ -114,19 +114,19 @@ class QuantizerSweepSpec:
     """Quantizer policy of a sweep.
 
     ``base_bits`` anchors the bit-depth trend at rho = 1 (``bits_at``);
-    measurements are scaled to the full quantizer range before quantization.
+    measurements are scaled to the quantizer's full scale 1 before quantization.
     """
 
     base_bits: int
-    saturation: float = 1.0
+    saturation: float = 1.0  # only the full scale 1: bench/run.py's QUANTIZATION spells it
 
     def __post_init__(self):
         object.__setattr__(self, "base_bits", _integer("base_bits", self.base_bits))
         object.__setattr__(self, "saturation", _real("saturation", self.saturation))
         if not 1 <= self.base_bits <= quantization.MAX_BITS:
             raise ValueError(f"base_bits must lie in [1, {quantization.MAX_BITS}]")
-        if self.saturation <= 0:
-            raise ValueError("saturation must be positive")
+        if self.saturation != 1.0:
+            raise ValueError(f"saturation must be 1 (full scale); got {self.saturation!r}")
 
     def bits_at(self, rho: int) -> int:
         """Bit depth at subsampling ``rho``: the trend from ``base_bits``, rounded half up."""
@@ -151,6 +151,9 @@ class SweepConfig:
     def __post_init__(self):
         for key in ("ambient_dim", "band_width", "trials_per_point", "master_seed"):
             object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        for key in ("rho_list", "isnr_targets_db", "methods"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise TypeError(f"{key} must be a list; got {getattr(self, key)!r}")
         rho_list = tuple(_integer("every rho_list value", r) for r in self.rho_list)
         object.__setattr__(self, "rho_list", rho_list)
         object.__setattr__(self, "isnr_targets_db", tuple(
@@ -166,7 +169,9 @@ class SweepConfig:
             raise ValueError("trials_per_point must be >= 1")
         if not self.rho_list:
             raise ValueError("rho_list must be nonempty")
-        for name in ("rho_list", "isnr_targets_db"):
+        if not self.methods or any(m not in METHODS for m in self.methods):
+            raise ValueError(f"methods must be a nonempty subset of {METHODS}")
+        for name in ("rho_list", "isnr_targets_db", "methods"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {list(values)}")
@@ -176,8 +181,6 @@ class SweepConfig:
             if self.ambient_dim % r != 0:
                 raise ConfigDivisibilityError(
                     f"every rho_list value must divide ambient_dim {self.ambient_dim}; got {r}")
-        if not self.methods or any(m not in METHODS for m in self.methods):
-            raise ValueError(f"methods must be a nonempty subset of {METHODS}")
         n_fewest = self.ambient_dim // max(self.rho_list)
         if "oracle" in self.methods and n_fewest < self.band_width:
             raise ValueError(f"oracle recovery needs M = ambient_dim // rho >= band_width; "
@@ -259,7 +262,7 @@ def _trial(cfg: SweepConfig, point_index: int, rho: int,
     bits = quantizer = None
     if cfg.quantizer is not None:
         bits = cfg.quantizer.bits_at(rho)
-        quantizer = quantization.QuantizerSpec(bits=bits, saturation=cfg.quantizer.saturation)
+        quantizer = quantization.QuantizerSpec(bits=bits)
 
     spectrum = signal_model.generate_bandlimited(B, W, "random", c_signal)
     acquired, isnr_db = spectrum.coeffs, None
@@ -277,7 +280,7 @@ def _trial(cfg: SweepConfig, point_index: int, rho: int,
             y = y + np.sqrt(cfg.measurement_noise_var) * noise
         if quantizer is not None:
             # scale to the full quantizer range, quantize, undo the scaling
-            beta = quantizer.saturation / float(np.max(np.abs(y)))
+            beta = 1.0 / float(np.max(np.abs(y)))
             y = quantization.quantize(quantizer, beta * y) / beta
         msnr_db = _db_or_none(metrics.msnr(clean, y))
         rty = ens.apply_transpose(y)  # shared by oracle and CoSaMP

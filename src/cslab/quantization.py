@@ -1,14 +1,12 @@
 """Midrise uniform quantizer with saturation, SQNR, and dynamic range.
 
-The b-bit midrise quantizer with saturation level G has interval
-Delta = 2^(1-b) * G and output levels Delta * (k + 1/2) clamped to
-+-(G - Delta/2).  A value sitting exactly on a level boundary k * Delta maps
-upward to Delta * (k + 1/2) (floor-based rule).
+The b-bit midrise quantizer has full scale 1, interval Delta = 2^(1-b) and
+output levels Delta * (k + 1/2) clamped to +-(1 - Delta/2).  A value exactly
+on a level boundary k * Delta maps upward to Delta * (k + 1/2) (floor rule).
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -31,28 +29,25 @@ MAX_BITS = 53  # float64 significand; finer levels in the range's top octave are
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Bit depth and saturation level; the interval is derived."""
+    """Bit depth of a full-scale-1 quantizer; the interval is derived."""
 
     bits: int
-    saturation: float = 1.0
 
     def __post_init__(self):
         if isinstance(self.bits, bool) or not isinstance(self.bits, numbers.Integral):
             raise TypeError(f"bits must be an integer; got {self.bits!r}")
         if not 1 <= self.bits <= MAX_BITS:
             raise ValueError(f"bits must lie in [1, {MAX_BITS}]; got {self.bits}")
-        if not 0 < self.saturation < math.inf:
-            raise ValueError(f"saturation must be positive and finite; got {self.saturation!r}")
 
     @property
     def interval(self) -> float:
-        """Delta = 2^(1-b) * G."""
-        return 2.0 ** (1 - self.bits) * self.saturation
+        """Delta = 2^(1-b)."""
+        return 2.0 ** (1 - self.bits)
 
     @property
     def max_level(self) -> float:
-        """Largest representable output, G - Delta/2."""
-        return self.saturation - self.interval / 2.0
+        """Largest representable output, 1 - Delta/2."""
+        return 1.0 - self.interval / 2.0
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,7 @@ class DynamicRangeResult:
 
 
 def quantize(spec: QuantizerSpec, values: np.ndarray) -> np.ndarray:
-    """Quantize each entry to the nearest midrise level, saturating at +-(G - Delta/2)."""
+    """Quantize each entry to the nearest midrise level, saturating at +-(1 - Delta/2)."""
     v = np.asarray(values, dtype=float)
     delta = spec.interval
     q = delta * (np.floor(v / delta) + 0.5)
@@ -87,12 +82,12 @@ def dynamic_range_closed_form(
 
     beta_min comes from the granular-error bound on unsaturated inputs and
     beta_max from the saturation-error bound; the resulting dynamic range is
-    ((2G/Delta)^2 - 1) / (C * par(x)^2 - 1).  Requires
-    1 < C <= (2G/Delta)^2 / par(x)^2, outside of which the notion degenerates.
+    ((2/Delta)^2 - 1) / (C * par(x)^2 - 1).  Requires
+    1 < C <= (2/Delta)^2 / par(x)^2, outside of which the notion degenerates.
     """
     v = np.asarray(x, dtype=float)
     gamma = par(v)
-    levels = 2.0**spec.bits  # 2G/Delta, exactly
+    levels = 2.0**spec.bits  # 2/Delta, exactly
     ceiling = levels**2 / gamma**2
     if not 1.0 < target_snr <= ceiling:
         raise ValueError(
@@ -101,9 +96,8 @@ def dynamic_range_closed_form(
     B = v.size
     energy = float(v @ v)
     half = spec.interval / 2.0
-    G = spec.saturation
     beta_min = np.sqrt(target_snr * B * half**2 / energy)
-    beta_max_sq = (target_snr * B / energy) * (G**2 - half**2) / (target_snr * gamma**2 - 1.0)
+    beta_max_sq = (target_snr * B / energy) * (1.0 - half**2) / (target_snr * gamma**2 - 1.0)
     beta_max = np.sqrt(beta_max_sq)
     dr = (levels**2 - 1.0) / (target_snr * gamma**2 - 1.0)
     return DynamicRangeResult(
@@ -150,8 +144,8 @@ def dynamic_range_empirical(
     in beta, so the interval is certified only at the tested points.
 
     ``snr_fn`` defaults to the quantizer's own SQNR.  ``anchor`` defaults to
-    the full-range scaling G / max|x|; a recovery-based curve should anchor at
-    the full range of whatever is quantized (e.g. G / max|y| for quantized
+    the full-range scaling 1 / max|x|; a recovery-based curve should anchor at
+    the full range of whatever is quantized (e.g. 1 / max|y| for quantized
     measurements).  The anchor must achieve the target.
     """
     v = np.asarray(x, dtype=float)
@@ -161,7 +155,7 @@ def dynamic_range_empirical(
     if snr_fn is None:
         snr_fn = lambda beta: sqnr(spec, beta * v)  # noqa: E731
     if anchor is None:
-        anchor = spec.saturation / peak
+        anchor = 1.0 / peak
     if snr_fn(anchor) < target_snr:
         raise ValueError("target SNR unachievable at the full-range anchor scaling")
     exps = np.linspace(-SEARCH_SPAN_DECADES, SEARCH_SPAN_DECADES, SEARCH_GRID_POINTS)

@@ -17,7 +17,6 @@ __all__ = [
     "SparseSpectrum",
     "bin_frequency",
     "basis_column",
-    "synthesis_matrix",
     "synthesize_vector",
     "analyze_vector",
     "generate_bandlimited",
@@ -97,14 +96,6 @@ def basis_column(ambient_dim: int, k: int) -> np.ndarray:
     if kind == "cos":
         return np.sqrt(2.0 / B) * np.cos(phase)
     return np.sqrt(2.0 / B) * np.sin(phase)
-
-
-def synthesis_matrix(ambient_dim: int) -> np.ndarray:
-    """Explicit B x B orthonormal synthesis matrix (columns are basis vectors).
-
-    Intended for small B; ``synthesize_vector`` is the fast FFT-based path.
-    """
-    return np.column_stack([basis_column(ambient_dim, k) for k in range(ambient_dim)])
 
 
 def synthesize_vector(coeffs: np.ndarray) -> np.ndarray:

@@ -136,7 +136,7 @@ def test_criterion_5_quantizer_laws():
     rng = np.random.default_rng(MASTER_SEED)
     floor_ok = True
     for bits in (2, 4, 8, 12):
-        q = QuantizerSpec(bits=bits, saturation=1.0)
+        q = QuantizerSpec(bits=bits)
         for _ in range(1000):
             v = rng.standard_normal(int(rng.integers(4, 64)))
             beta = 1.0 / np.max(np.abs(v))
@@ -147,7 +147,7 @@ def test_criterion_5_quantizer_laws():
     dr_ok = True
     for _ in range(100):
         bits = int(rng.choice([4, 6, 8, 10, 12]))
-        q = QuantizerSpec(bits=bits, saturation=1.0)
+        q = QuantizerSpec(bits=bits)
         x = rng.standard_normal(int(rng.integers(8, 64)))
         cmax = (2.0**bits) ** 2 / signal_model.par(x) ** 2
         target = float(np.exp(rng.uniform(np.log(1.5), np.log(0.8 * cmax))))

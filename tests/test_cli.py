@@ -296,11 +296,19 @@ class TestCliMain:
         ("quantizer", {"base_bits": 4, "saturation": float("nan")},
          "invalid quantizer: saturation must be finite"),
         ("quantizer", {"base_bits": 1100}, "invalid quantizer: base_bits must lie in [1, 53]"),
+        ("quantizer", {"base_bits": 4, "saturation": 0.5},
+         "invalid quantizer: saturation must be 1"),
+        ("rho_list", 4, "rho_list must be a list"),
+        ("isnr_targets_db", 60, "isnr_targets_db must be a list"),
+        ("methods", "oracle", "methods must be a list"),
+        ("methods", ["oracle", "oracle"], "methods repeats a value"),
+        ("methods", [["oracle"]], "methods must be a nonempty subset"),
     ], ids=["repeated_rho", "repeated_isnr", "float_rho", "zero_rho", "float_band_width",
             "float_trials", "float_seed", "bool_band_width", "bool_trials", "float_base_bits",
             "bool_isnr", "string_isnr", "bool_noise_var", "string_noise_var",
             "bool_saturation", "string_saturation", "nan_noise_var", "inf_isnr",
-            "nan_saturation", "huge_base_bits"])
+            "nan_saturation", "huge_base_bits", "half_saturation", "scalar_rho",
+            "scalar_isnr", "string_methods", "repeated_method", "nested_methods"])
     def test_bad_sweep_value_exit_code(self, key, value, message, tmp_path, capsys):
         cfg = {"ambient_dim": 64, "band_width": 2, "rho_list": [2, 4],
                "isnr_targets_db": [20, 40], key: value}
@@ -437,6 +445,7 @@ class TestCliMain:
         assert code == 0
         data = json.loads(report.read_text())
         assert data["empirical"]["dr_linear"] >= data["closed_form"]["dr_linear"]
+        assert "saturation" not in data  # the quantizer's full scale is 1
 
     def test_dynamic_range_cs_path_smoke(self, tmp_path, capsys):
         report = tmp_path / "dr.json"

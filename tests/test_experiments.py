@@ -141,7 +141,7 @@ class TestSweepConfig:
         cfg = SweepConfig(ambient_dim=64, band_width=2, rho_list=(2,),
                           isnr_targets_db=(np.float32(40.0), 20), measurement_noise_var=np.int64(0),
                           methods=("oracle",),
-                          quantizer=QuantizerSweepSpec(base_bits=4, saturation=np.float64(0.5)))
+                          quantizer=QuantizerSweepSpec(base_bits=4, saturation=np.float64(1.0)))
         assert (cfg.isnr_targets_db, cfg.measurement_noise_var) == ((40.0, 20.0), 0.0)
         assert type(cfg.measurement_noise_var) is float and type(cfg.isnr_targets_db[0]) is float
         assert type(cfg.quantizer.saturation) is float

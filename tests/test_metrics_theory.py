@@ -142,7 +142,7 @@ class TestQuantizationLinkBounds:
 
     def test_measurement_sqnr_bound_holds_on_instances(self):
         # full-range-scaled quantized measurements beat the closed form
-        q = QuantizerSpec(bits=6, saturation=1.0)
+        q = QuantizerSpec(bits=6)
         count = 0
         for seed in range(100):
             c_sig, c_ens = np.random.SeedSequence((50, seed)).spawn(2)
@@ -153,7 +153,7 @@ class TestQuantizationLinkBounds:
                 continue
             x = synthesize_vector(sp.coeffs)
             y = ens.apply(sp.coeffs)
-            beta = q.saturation / np.max(np.abs(y))
+            beta = 1.0 / np.max(np.abs(y))
             bound = theory.measurement_sqnr_lower_bound(
                 q.bits, par(x), delta, ens.subsampling,
                 np.max(np.abs(x)), np.max(np.abs(y)))

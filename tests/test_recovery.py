@@ -21,12 +21,12 @@ from cslab.sensing import (
     generate_subsampled_dct_ensemble,
     orthogonalize_rows,
 )
-from cslab.signal_model import (
-    basis_column,
-    generate_bandlimited,
-    synthesis_matrix,
-    synthesize_vector,
-)
+from cslab.signal_model import basis_column, generate_bandlimited, synthesize_vector
+
+
+def synthesis_matrix(B):
+    """Reference: the explicit B x B synthesis matrix, one basis vector per column."""
+    return np.column_stack([basis_column(B, k) for k in range(B)])
 
 
 class TestOracleRecover:

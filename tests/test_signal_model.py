@@ -9,12 +9,17 @@ from cslab.signal_model import (
     SparseSpectrum,
     add_signal_noise,
     analyze_vector,
+    basis_column,
     generate_bandlimited,
     par,
     signal_noise_var_for_isnr,
-    synthesis_matrix,
     synthesize_vector,
 )
+
+
+def synthesis_matrix(B):
+    """Reference: the explicit B x B synthesis matrix, one basis vector per column."""
+    return np.column_stack([basis_column(B, k) for k in range(B)])
 
 
 class TestSparseSpectrum:
